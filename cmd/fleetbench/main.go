@@ -11,23 +11,19 @@
 //  3. Warm-start A/B — enforcement on a violating case with and without
 //     warm-started re-characterizations, reporting the drop in total
 //     Stats.ShiftsProcessed.
-//  4. Shift-cache A/B — the same enforcement with the shift-factorization
-//     cache off (every shift refactors) vs on (LRU over SMW factors +
-//     batched multi-shift prefactor), asserting bit-identical crossings
-//     and reporting the hit rate and wall-time delta.
-//  5. Priority + admission — batch enforcement jobs fill a bounded-
+//  4. Priority + admission — batch enforcement jobs fill a bounded-
 //     admission engine, then an interactive characterization submitted
 //     mid-batch must overtake the queued batch work and finish first; a
 //     fail-fast engine at its cap must reject the over-cap submit.
-//  6. Vector Fitting A/B — a synthetic many-port sweep fitted with one
+//  5. Vector Fitting A/B — a synthetic many-port sweep fitted with one
 //     worker vs the full pool (pool-routed PhaseFit column batches),
 //     asserting the fitted models are bit-identical and reporting the
 //     wall-time win (the BenchmarkSnpcheckFit scenario).
-//  7. Half-path A/B — reciprocal Table-I variants characterized with the
+//  6. Half-path A/B — reciprocal Table-I variants characterized with the
 //     full 2n×2n Hamiltonian (HalfOff) vs the half-size squared
 //     eigenproblem (HalfAuto), asserting crossing agreement within
 //     1e-9·ω_max and reporting the per-case speedup.
-//  8. Sparse-backend A/B — a synthetic n≥10⁴ model with port-local
+//  7. Sparse-backend A/B — a synthetic n≥10⁴ model with port-local
 //     residues characterized with the packed-dense vs the CSR sparse
 //     kernels, asserting crossing agreement within 1e-9·ω_max and that
 //     BackendAuto resolves to sparse for this structure.
@@ -62,7 +58,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/hamiltonian"
 	"repro/internal/statespace"
 )
 
@@ -120,8 +115,6 @@ type caseRow struct {
 	Shifts         int     `json:"shifts"`
 	ShiftsSolo     int     `json:"shifts_solo"`
 	ShiftsPerSec   float64 `json:"shifts_per_sec"` // fleet-leg shifts per busy second
-	CacheHits      uint64  `json:"cache_hits"`     // this case's traffic on the engine-wide shift cache
-	CacheMisses    uint64  `json:"cache_misses"`
 	Passive        bool    `json:"passive"`
 	WorstSigma     float64 `json:"worst_sigma"`
 }
@@ -165,19 +158,6 @@ type vfRow struct {
 	Speedup      float64 `json:"speedup"`
 	BitIdentical bool    `json:"fit_bit_identical"`
 	RMSError     float64 `json:"rms_error"`
-}
-
-type cacheRow struct {
-	Case         int     `json:"case"`
-	OffNS        int64   `json:"cache_off_ns"`
-	OnNS         int64   `json:"cache_on_ns"`
-	Speedup      float64 `json:"speedup"`
-	Hits         uint64  `json:"cache_hits"`
-	Misses       uint64  `json:"cache_misses"`
-	HitRate      float64 `json:"hit_rate"`
-	Evictions    uint64  `json:"evictions"`
-	Iterations   int     `json:"iterations"`
-	BitIdentical bool    `json:"crossings_bit_identical"`
 }
 
 type halfRow struct {
@@ -224,24 +204,21 @@ type resumeRow struct {
 }
 
 type benchOut struct {
-	Workers          int          `json:"workers"`
-	HostCores        int          `json:"host_cores"`
-	Cases            []caseRow    `json:"cases"`
-	SoloWallNS       int64        `json:"solo_wall_ns"`
-	FleetWallNS      int64        `json:"fleet_wall_ns"`
-	Speedup          float64      `json:"speedup"`
-	ThroughputJobsS  float64      `json:"fleet_throughput_jobs_per_s"`
-	AllBitIdentical  bool         `json:"all_crossings_bit_identical"`
-	FleetCacheHits   uint64       `json:"fleet_cache_hits"` // engine-wide shift-cache totals for the fleet run
-	FleetCacheMisses uint64       `json:"fleet_cache_misses"`
-	Phases           []phaseRow   `json:"fleet_phase_utilization"`
-	WarmStart        *warmRow     `json:"warmstart,omitempty"`
-	Cache            *cacheRow    `json:"cache,omitempty"`
-	Priority         *priorityRow `json:"priority,omitempty"`
-	VectFit          *vfRow       `json:"vectfit,omitempty"`
-	HalfPath         []halfRow    `json:"halfpath,omitempty"`
-	Sparse           *sparseRow   `json:"sparse,omitempty"`
-	Resume           []resumeRow  `json:"resume,omitempty"`
+	Workers         int          `json:"workers"`
+	HostCores       int          `json:"host_cores"`
+	Cases           []caseRow    `json:"cases"`
+	SoloWallNS      int64        `json:"solo_wall_ns"`
+	FleetWallNS     int64        `json:"fleet_wall_ns"`
+	Speedup         float64      `json:"speedup"`
+	ThroughputJobsS float64      `json:"fleet_throughput_jobs_per_s"`
+	AllBitIdentical bool         `json:"all_crossings_bit_identical"`
+	Phases          []phaseRow   `json:"fleet_phase_utilization"`
+	WarmStart       *warmRow     `json:"warmstart,omitempty"`
+	Priority        *priorityRow `json:"priority,omitempty"`
+	VectFit         *vfRow       `json:"vectfit,omitempty"`
+	HalfPath        []halfRow    `json:"halfpath,omitempty"`
+	Sparse          *sparseRow   `json:"sparse,omitempty"`
+	Resume          []resumeRow  `json:"resume,omitempty"`
 }
 
 func main() {
@@ -250,7 +227,6 @@ func main() {
 	cacheDir := flag.String("cache", "testdata/cases", "model cache directory")
 	jsonOut := flag.String("json", "BENCH_fleet.json", "machine-readable output file (empty to disable)")
 	warmCase := flag.Int("warmcase", 2, "violating Table-I case for the warm-start A/B (0 to skip)")
-	cacheCase := flag.Int("cachecase", 2, "violating Table-I case for the shift-cache on/off enforcement A/B (0 to skip)")
 	prioCase := flag.Int("priocase", 2, "violating Table-I case for the batch jobs of the priority/admission demo (0 to skip)")
 	vfPorts := flag.Int("vfports", 8, "port count of the synthetic sweep for the Vector Fitting A/B (0 to skip)")
 	halfAB := flag.Bool("half", true, "run the half-path A/B on the reciprocal Table-I variants")
@@ -334,14 +310,6 @@ func main() {
 		fleetLatencyNS[i] = j.WallTime().Nanoseconds()
 	}
 	out.FleetWallNS = time.Since(fleetStart).Nanoseconds()
-	// Per-case traffic on the engine-wide shift-factorization cache, plus
-	// the cache-wide totals (read before Close while the ops are alive).
-	caseCache := make([]repro.CacheStats, len(specs))
-	for i := range specs {
-		caseCache[i] = engine.ModelCacheStats(models[i])
-	}
-	fleetCache := engine.ShiftCacheStats()
-	out.FleetCacheHits, out.FleetCacheMisses = fleetCache.Hits, fleetCache.Misses
 	// Per-phase worker utilization of the fleet run: which fraction of the
 	// pool's capacity each compute phase kept busy.
 	stats := engine.PhaseStats()
@@ -364,8 +332,8 @@ func main() {
 	}
 	engine.Close()
 
-	fmt.Printf("%-7s %5s %4s %8s %4s %6s %8s %5s %5s | %9s %9s %9s | %4s\n",
-		"Case", "n", "p", "Nλ(pap)", "Nλ", "shifts", "sh/s", "hits", "miss", "solo[s]", "busy[s]", "lat[s]", "bit=")
+	fmt.Printf("%-7s %5s %4s %8s %4s %6s %8s | %9s %9s %9s | %4s\n",
+		"Case", "n", "p", "Nλ(pap)", "Nλ", "shifts", "sh/s", "solo[s]", "busy[s]", "lat[s]", "bit=")
 	for i, spec := range specs {
 		solo, fl := soloReps[i], fleetReps[i]
 		bit := len(solo.Crossings) == len(fl.Crossings)
@@ -386,16 +354,15 @@ func main() {
 			PaperNlambda: spec.PaperNlambda, BitIdentical: bit,
 			SoloNS: soloNS[i], FleetBusyNS: fleetBusyNS[i], FleetLatencyNS: fleetLatencyNS[i],
 			Shifts: fl.Solver.ShiftsProcessed, ShiftsSolo: solo.Solver.ShiftsProcessed,
-			CacheHits: caseCache[i].Hits, CacheMisses: caseCache[i].Misses,
 			Passive: fl.Passive, WorstSigma: fl.WorstViolation(),
 		}
 		if fleetBusyNS[i] > 0 {
 			row.ShiftsPerSec = float64(row.Shifts) / (float64(fleetBusyNS[i]) / 1e9)
 		}
 		out.Cases = append(out.Cases, row)
-		fmt.Printf("Case %-2d %5d %4d %8d %4d %6d %8.1f %5d %5d | %9.3f %9.3f %9.3f | %v\n",
+		fmt.Printf("Case %-2d %5d %4d %8d %4d %6d %8.1f | %9.3f %9.3f %9.3f | %v\n",
 			spec.ID, spec.N, spec.P, spec.PaperNlambda, row.Nlambda, row.Shifts,
-			row.ShiftsPerSec, row.CacheHits, row.CacheMisses,
+			row.ShiftsPerSec,
 			float64(row.SoloNS)/1e9, float64(row.FleetBusyNS)/1e9, float64(row.FleetLatencyNS)/1e9, bit)
 	}
 	out.Speedup = float64(out.SoloWallNS) / float64(out.FleetWallNS)
@@ -441,53 +408,7 @@ func main() {
 			float64(w.ColdNS)/1e9, float64(w.WarmNS)/1e9)
 	}
 
-	// Phase 4: shift-cache on/off A/B — the same enforcement run with the
-	// factorization cache disabled (every shift refactors from scratch, no
-	// batched prefactor) vs enabled through an operator cache, asserting the
-	// final crossings are bit-identical and reporting the hit rate and the
-	// wall-time delta the cache buys.
-	if *cacheCase > 0 {
-		spec, err := repro.FindCase(*cacheCase)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := statespace.CachedCase(spec, *cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		run := func(ops *hamiltonian.OpCache, cacheSize int) (*repro.EnforceReport, int64) {
-			opts := repro.EnforceOptions{Char: charOpts()}
-			opts.Char.Core.ShiftCacheSize = cacheSize
-			opts.Char.Ops = ops
-			start := time.Now()
-			_, rep, err := repro.Enforce(m, opts)
-			if err != nil {
-				log.Fatalf("enforce (cache=%d) case %d: %v", cacheSize, spec.ID, err)
-			}
-			return rep, time.Since(start).Nanoseconds()
-		}
-		offRep, offNS := run(nil, -1)
-		oc := hamiltonian.NewOpCache(repro.DefaultShiftCacheSize)
-		onRep, onNS := run(oc, 0)
-		st := oc.ShiftCache().Stats()
-		cr := cacheRow{
-			Case:  spec.ID,
-			OffNS: offNS, OnNS: onNS,
-			Speedup: float64(offNS) / float64(onNS),
-			Hits:    st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-			Iterations:   onRep.Iterations,
-			BitIdentical: sameCrossings(offRep.FinalReport, onRep.FinalReport),
-		}
-		if total := st.Hits + st.Misses; total > 0 {
-			cr.HitRate = float64(st.Hits) / float64(total)
-		}
-		out.Cache = &cr
-		fmt.Printf("cache A/B (case %d, %d iterations): %.3fs off → %.3fs on (%.2fx), %d hits / %d misses (%.1f%% hit rate, %d evictions), bit-identical: %v\n",
-			cr.Case, cr.Iterations, float64(offNS)/1e9, float64(onNS)/1e9, cr.Speedup,
-			cr.Hits, cr.Misses, 100*cr.HitRate, cr.Evictions, cr.BitIdentical)
-	}
-
-	// Phase 5: priority + admission demo. Batch enforcement jobs fill a
+	// Phase 4: priority + admission demo. Batch enforcement jobs fill a
 	// bounded-admission engine; an interactive characterization submitted
 	// mid-batch must overtake the queued batch work.
 	if *prioCase > 0 {
@@ -566,7 +487,7 @@ func main() {
 			nBatch, spec.ID, pr.Overtook, pr.OvertakeFactor, pr.FailFastRejected)
 	}
 
-	// Phase 6: Vector Fitting A/B — one worker vs the pool on a synthetic
+	// Phase 5: Vector Fitting A/B — one worker vs the pool on a synthetic
 	// many-port sweep (the per-column PhaseFit batches of vectfit.Fitter).
 	if *vfPorts > 0 {
 		const vfOrder, vfSamples = 6, 40
@@ -624,7 +545,7 @@ func main() {
 		return true
 	}
 
-	// Phase 7: half-path A/B — the reciprocal Table-I variants characterized
+	// Phase 6: half-path A/B — the reciprocal Table-I variants characterized
 	// with the half-size squared eigenproblem (HalfAuto engages on detected
 	// reciprocity) vs the full 2n×2n path forced with HalfOff. Crossings
 	// must agree within 1e-9·ω_max; the half leg should win ≥1.5× on the
@@ -662,7 +583,7 @@ func main() {
 		}
 	}
 
-	// Phase 8: sparse-backend A/B — a synthetic n≥10⁴ model with port-local
+	// Phase 7: sparse-backend A/B — a synthetic n≥10⁴ model with port-local
 	// residues (banded C), characterized with the packed-dense kernels vs
 	// the CSR sparse kernels. BackendAuto resolves to sparse for this
 	// structure; crossings must agree within 1e-9·ω_max.
@@ -704,7 +625,7 @@ func main() {
 			sr.AutoBackend, sr.NlambdaDense, sr.Nlambda, sr.Agree)
 	}
 
-	// Phase 9: checkpoint-resume A/B — the durable-store restart economics
+	// Phase 8: checkpoint-resume A/B — the durable-store restart economics
 	// on shrunk Table-I cases. Each case is solved cold on the fleet engine
 	// while its per-shift checkpoint stream is recorded; the first half of
 	// the stream (in sequence order — callbacks land out of order) is folded

@@ -1,6 +1,5 @@
-// Package doccheck is the documentation gate, ported from the standalone
-// cmd/doclint tool into the analyzer suite so one driver runs it with the
-// other invariants. It reports a package that lacks a package-level doc
+// Package doccheck is the documentation gate, run by the analyzer suite
+// alongside the other invariants. It reports a package that lacks a package-level doc
 // comment and every exported top-level identifier — function, method on
 // an exported type, type, const, var — that lacks one. A doc comment on
 // a grouped const/var/type declaration covers the whole group.

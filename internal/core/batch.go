@@ -117,11 +117,6 @@ func (c *Client) runBatchChunk(ctx context.Context, phase string, fns []func(wor
 					// popped past live clients' work.
 					c.purgeBatch(b)
 				}
-				b.finishOne()
-			},
-			abort: func() {
-				b.fail(ErrPoolClosed)
-				b.finishOne()
 			},
 		})
 	}

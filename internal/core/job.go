@@ -45,16 +45,6 @@ func (p *Pool) Submit(ctx context.Context, op *hamiltonian.Op, opts Options) (*J
 		opts.Threads = p.workers
 	}
 	opts.setDefaults()
-	// Factorization-cache wiring: attach (or, on request, detach) the
-	// operator's shift cache before any shift work runs. EnsureShiftCache
-	// keeps an already-attached cache — the fleet engine attaches one
-	// shared cache across jobs, and a per-solve default must not displace
-	// it.
-	if opts.ShiftCacheSize < 0 {
-		op.SetShiftCache(nil)
-	} else {
-		op.EnsureShiftCache(opts.ShiftCacheSize)
-	}
 	//lint:ignore detfloat elapsed-time telemetry only; it never feeds numeric state
 	start := time.Now()
 
@@ -120,11 +110,6 @@ func (p *Pool) Submit(ctx context.Context, op *hamiltonian.Op, opts Options) (*J
 			ivs = initialIntervals(opts.OmegaMin, omegaMax, opts.Kappa*opts.Threads)
 		}
 	}
-	if opts.MultiShiftBatch > 0 && len(ivs) > 0 && op.ShiftCacheHandle() != nil {
-		if err := prefactorIntervals(ctx, client, op, ivs, opts.MultiShiftBatch, opts.Alpha); err != nil {
-			return nil, err
-		}
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -167,37 +152,6 @@ func (p *Pool) Submit(ctx context.Context, op *hamiltonian.Op, opts Options) (*J
 		}()
 	}
 	return j, nil
-}
-
-// prefactorIntervals batches the startup shifts' SMW setups into the
-// operator's shift cache as PhaseSetup pool tasks: each chunk computes its
-// resolvent panels in one pass over the packed kernels and publishes the
-// factorizations the upcoming PhaseEig tasks will pin. Purely a warm-up —
-// the published factors are bit-identical to what each shift task would
-// build lazily, so a chunk lost to cancellation or early eviction changes
-// timing, never results.
-func prefactorIntervals(ctx context.Context, client *Client, op *hamiltonian.Op, ivs []*interval, chunk int, alpha float64) error {
-	thetas := make([]complex128, len(ivs))
-	for i, iv := range ivs {
-		// SweepTheta routes each startup shift to the path runShift will
-		// use (jω full-size, −ω² half-size) with the exact bits the
-		// corresponding cache lookup will ask for — which is why the disk
-		// radius must be derived exactly as runInterval derives it.
-		thetas[i] = op.SweepTheta(iv.shift, sweepRho0(alpha, iv))
-	}
-	var fns []func(int) error
-	for lo := 0; lo < len(thetas); lo += chunk {
-		hi := lo + chunk
-		if hi > len(thetas) {
-			hi = len(thetas)
-		}
-		part := thetas[lo:hi]
-		fns = append(fns, func(int) error {
-			op.PrefactorSweep(part)
-			return nil
-		})
-	}
-	return client.RunBatch(ctx, PhaseSetup, fns)
 }
 
 // shiftOut is the raw per-shift output buffered until Wait assembles the
@@ -327,21 +281,17 @@ func (j *Job) maybeFinishLocked() {
 	close(j.done)
 }
 
-// sweepRho0 is the initial disk radius of an interval's shift — the single
-// definition runInterval solves with and prefactorIntervals routes with
-// (the half-path routing decision depends on it).
-func sweepRho0(alpha float64, iv *interval) float64 {
+// runInterval processes one admitted interval on a worker goroutine.
+// account books the task's pool telemetry; it is called under p.mu in the
+// critical section that commits the shift, before the commit can finish
+// the job.
+func (j *Job) runInterval(p *Pool, worker int, iv *interval, account func()) {
+	rho0 := 0.5 * j.opts.Alpha * iv.width()
 	if iv.edgeLeft || iv.edgeRite {
 		// Edge shifts sit at the interval boundary; the disk must be able
 		// to reach across the whole interval.
-		return alpha * iv.width()
+		rho0 = j.opts.Alpha * iv.width()
 	}
-	return 0.5 * alpha * iv.width()
-}
-
-// runInterval processes one admitted interval on a worker goroutine.
-func (j *Job) runInterval(p *Pool, worker int, iv *interval) {
-	rho0 := sweepRho0(j.opts.Alpha, iv)
 	params := j.opts.Arnoldi
 	params.Seed = j.opts.Seed*1_000_003 + int64(iv.id)*7919 + 1
 	if j.client.pri < PriorityInteractive {
@@ -355,6 +305,7 @@ func (j *Job) runInterval(p *Pool, worker int, iv *interval) {
 	sres, err := runShift(j.op, iv.shift, rho0, params)
 	if err != nil {
 		p.mu.Lock()
+		account()
 		j.inflight--
 		j.removeRunningLocked(iv)
 		j.failLocked(p, fmt.Errorf("core: shift ω=%g: %w", iv.shift, err))
@@ -378,6 +329,7 @@ func (j *Job) runInterval(p *Pool, worker int, iv *interval) {
 	j.outMu.Unlock()
 
 	p.mu.Lock()
+	account()
 	committed := j.completed
 	j.completeLocked(p, iv, iv.shift, sres.Radius)
 	var ck *Checkpoint

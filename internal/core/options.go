@@ -67,24 +67,6 @@ type Options struct {
 	// MaxShifts caps the total number of processed shifts as a safety
 	// valve. Default 10000.
 	MaxShifts int
-	// ShiftCacheSize controls the shift-factorization cache on the solve's
-	// Hamiltonian operator (hamiltonian.ShiftCache): 0 attaches a cache of
-	// DefaultShiftCacheSize entries when the operator has none yet (an
-	// engine-attached shared cache is kept), > 0 likewise with that
-	// capacity, and < 0 detaches/disables caching for this operator. The
-	// cache only reuses factored SMW state keyed on exact shift bits and
-	// the model's kernel epoch, so results are bit-identical with the
-	// cache on, off, or thrashing.
-	ShiftCacheSize int
-	// MultiShiftBatch is the number of startup shifts prefactored per
-	// PhaseSetup pool task at submission: each task computes its chunk's
-	// resolvent panels in one pass over the packed kernels
-	// (statespace.CResolventBMulti / BTResolventCTMulti) and publishes the
-	// factorizations into the shift cache ahead of the PhaseEig tasks that
-	// consume them. Default 8; < 0 disables batched prefactoring (shifts
-	// then factor lazily, one at a time). Ignored when no cache is
-	// attached.
-	MultiShiftBatch int
 	// InitialShifts warm-starts the scheduler: instead of the κT uniform
 	// subdivision, the startup intervals are cut around these shift
 	// locations (see warmIntervals). Used by passivity enforcement to seed
@@ -218,20 +200,7 @@ func (o *Options) setDefaults() {
 	if o.MaxShifts == 0 {
 		o.MaxShifts = 10000
 	}
-	if o.ShiftCacheSize == 0 {
-		o.ShiftCacheSize = DefaultShiftCacheSize
-	}
-	if o.MultiShiftBatch == 0 {
-		o.MultiShiftBatch = 8
-	}
 }
-
-// DefaultShiftCacheSize is the factorization-cache capacity attached when
-// Options.ShiftCacheSize is left zero: comfortably above the startup shift
-// count κT plus the refinement tail of a typical Table-I solve, and one
-// 2p×2p complex LU per entry keeps even a 64-entry cache in the tens of
-// kilobytes for realistic port counts.
-const DefaultShiftCacheSize = 64
 
 // ShiftRecord documents one completed single-shift iteration.
 type ShiftRecord struct {

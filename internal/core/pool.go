@@ -34,10 +34,8 @@ const (
 const (
 	// PhaseEig is a tentative-interval shift task of a multi-shift solve.
 	PhaseEig = "eig"
-	// PhaseSetup is a batched shift-factorization task: one chunk of a
-	// solve's startup shifts prefactored into the operator's shift cache
-	// via the multi-shift resolvent-panel kernels (Job submission batches
-	// these ahead of the per-shift PhaseEig tasks).
+	// PhaseSetup is read by perfbench (closed.go:232, daemon.go:375,
+	// layers.go:77); always zero; remove with the next benchmark PR.
 	PhaseSetup = "setup"
 	// PhaseProbe is a per-band σ_max probe of passivity.classifyBands.
 	PhaseProbe = "probe"
@@ -72,12 +70,11 @@ type task struct {
 	client *Client
 	phase  string
 
-	// Batch task: run executes on a worker; abort is called instead when
-	// the pool closes with the task still queued (it must unblock the
-	// batch join); batch identifies siblings so a failed/canceled batch
-	// can purge its queued remainder.
+	// Batch task: run executes on a worker; batch is the RunBatch fan-out
+	// it belongs to — execute signals its join once the task is accounted,
+	// Close fails it when the task is discarded still queued, and a
+	// failed/canceled batch purges its queued siblings through it.
 	run   func(worker int)
-	abort func()
 	batch *batch
 
 	// Eigensolver task: the tentative interval and its owning Job.
@@ -172,11 +169,15 @@ func (c *Client) BusyTime() time.Duration {
 // per-job scheduler state itself lives on Job. Everything is serialized
 // by mu; cond wakes workers when tasks appear.
 type Pool struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	rings   [numPriorityClasses][]*Client // clients with pending tasks, WRR order
-	phase   map[string]PhaseStat
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	rings  [numPriorityClasses][]*Client // clients with pending tasks, WRR order
+	phase  map[string]PhaseStat
+	closed bool
+	// inline[w] is the busy time worker w has spent, since its current
+	// task started, on interactive tasks run inside it by YieldInteractive;
+	// the outer task's accounting deducts it so no time counts twice.
+	inline  []time.Duration
 	workers int
 	wg      sync.WaitGroup
 }
@@ -198,7 +199,7 @@ func NewPool(workers int) *Pool {
 // newIdlePool builds the pool state without spawning workers (used directly
 // by scheduler unit tests that drive the queue synchronously).
 func newIdlePool(workers int) *Pool {
-	p := &Pool{workers: workers, phase: make(map[string]PhaseStat)}
+	p := &Pool{workers: workers, phase: make(map[string]PhaseStat), inline: make([]time.Duration, workers)}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -240,7 +241,7 @@ func (p *Pool) PhaseStats() map[string]PhaseStat {
 // worker has exited. Closing an already-closed pool is a no-op.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	var aborts []func()
+	var aborted []*batch
 	if !p.closed {
 		p.closed = true
 		orphaned := make(map[*Job]bool)
@@ -250,8 +251,8 @@ func (p *Pool) Close() {
 					if t.iv != nil {
 						t.job.pending--
 						orphaned[t.job] = true
-					} else if t.abort != nil {
-						aborts = append(aborts, t.abort)
+					} else {
+						aborted = append(aborted, t.batch)
 					}
 				}
 				c.queue = nil
@@ -269,10 +270,11 @@ func (p *Pool) Close() {
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
-	// Aborts close batch done channels; run them outside mu so joiners can
-	// wake without lock-ordering concerns.
-	for _, a := range aborts {
-		a()
+	// Finishing a discarded task may close its batch's join channel; do it
+	// outside mu so joiners can wake without lock-ordering concerns.
+	for _, b := range aborted {
+		b.fail(ErrPoolClosed)
+		b.finishOne()
 	}
 	p.wg.Wait()
 }
@@ -307,30 +309,45 @@ func (p *Pool) worker(id int) {
 		if t == nil {
 			return
 		}
-		p.execute(t, id)
+		p.execute(t, id, false)
 	}
 }
 
-// execute runs one admitted task on the calling goroutine and accounts
-// its phase and client busy time. Shared by the worker loop and the
-// mid-shift yield path.
-func (p *Pool) execute(t *task, worker int) {
+// execute runs one admitted task on the calling goroutine and books its
+// phase and client busy time before the task's completion is signalled —
+// the batch join here, the interval's commit inside runInterval — so
+// whoever waits on a task finds it counted. inline marks an interactive
+// task run by YieldInteractive inside another task on the same worker:
+// its time is booked to its own phase and client and deducted from the
+// yielding task's, so no worker time counts twice.
+func (p *Pool) execute(t *task, worker int, inline bool) {
 	//lint:ignore detfloat worker busy-time telemetry only; it never feeds numeric state
 	start := time.Now()
-	if t.iv != nil {
-		t.job.runInterval(p, worker, t.iv)
-	} else {
-		t.run(worker)
+	// account books the task; the caller holds p.mu.
+	account := func() {
+		//lint:ignore detfloat worker busy-time telemetry only; it never feeds numeric state
+		busy := time.Since(start)
+		if inline {
+			p.inline[worker] += busy
+		} else {
+			busy -= p.inline[worker]
+			p.inline[worker] = 0
+		}
+		s := p.phase[t.phase]
+		s.Tasks++
+		s.Busy += busy
+		p.phase[t.phase] = s
+		t.client.busy += busy
 	}
-	//lint:ignore detfloat worker busy-time telemetry only; it never feeds numeric state
-	busy := time.Since(start)
+	if t.iv != nil {
+		t.job.runInterval(p, worker, t.iv, account)
+		return
+	}
+	t.run(worker)
 	p.mu.Lock()
-	s := p.phase[t.phase]
-	s.Tasks++
-	s.Busy += busy
-	p.phase[t.phase] = s
-	t.client.busy += busy
+	account()
 	p.mu.Unlock()
+	t.batch.finishOne()
 }
 
 // YieldInteractive runs queued interactive-class tasks to exhaustion on
@@ -341,9 +358,9 @@ func (p *Pool) execute(t *task, worker int) {
 // whole shift. Admission, fairness, and accounting are identical to a
 // worker pop — the yield only changes WHEN the interactive task runs,
 // never with what data, so results stay bit-identical. Interactive tasks
-// themselves never yield, bounding the inline nesting at depth one; the
-// yielding task's own busy-time measurement includes the inline work
-// (telemetry skew only, documented in PhaseStats consumers).
+// themselves never yield, bounding the inline nesting at depth one. It
+// must be called from the pool task running on worker; the inline tasks'
+// busy time is deducted from that task's.
 func (p *Pool) YieldInteractive(worker int) {
 	for {
 		p.mu.Lock()
@@ -352,7 +369,7 @@ func (p *Pool) YieldInteractive(worker int) {
 		if t == nil {
 			return
 		}
-		p.execute(t, worker)
+		p.execute(t, worker, true)
 	}
 }
 

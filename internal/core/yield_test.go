@@ -22,7 +22,7 @@ func TestYieldInteractiveInline(t *testing.T) {
 	batch2 := pool.NewClient(ClientOptions{Priority: PriorityBatch})
 	inter := pool.NewClient(ClientOptions{Priority: PriorityInteractive})
 
-	ranOn := make(chan int, 1)    // worker index the interactive task executed on
+	ranOn := make(chan int, 1) // worker index the interactive task executed on
 	interDone := make(chan error, 1)
 	batchRan := make(chan struct{}, 1)
 	batch2Done := make(chan error, 1)
@@ -166,5 +166,60 @@ func TestMidShiftYieldLatency(t *testing.T) {
 	if best >= shiftDur/2 {
 		t.Fatalf("first-pop latency %v not below half a shift (%v): mid-shift yield not effective",
 			best, shiftDur)
+	}
+}
+
+// TestYieldInteractiveBusyNotDoubleCounted: an interactive task run inline
+// by YieldInteractive is booked once — to its own phase and client — and
+// deducted from the yielding task, so on a single-worker pool the summed
+// busy time cannot exceed the wall time of the batch that hosted it.
+func TestYieldInteractiveBusyNotDoubleCounted(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	batch := pool.NewClient(ClientOptions{Priority: PriorityBatch})
+	inter := pool.NewClient(ClientOptions{Priority: PriorityInteractive})
+	const sleep = 60 * time.Millisecond
+
+	interDone := make(chan error, 1)
+	start := time.Now()
+	err := batch.RunBatch(context.Background(), PhaseEig, []func(int) error{func(w int) error {
+		go func() {
+			interDone <- inter.RunBatch(context.Background(), PhaseProbe, []func(int) error{
+				func(int) error { time.Sleep(sleep); return nil },
+			})
+		}()
+		deadline := time.Now().Add(10 * time.Second)
+		for pool.QueueDepth() < 1 {
+			if time.Now().After(deadline) {
+				return errors.New("interactive task never queued")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		pool.YieldInteractive(w)
+		return nil
+	}})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-interDone; err != nil {
+		t.Fatalf("interactive batch: %v", err)
+	}
+
+	var busy time.Duration
+	for _, st := range pool.PhaseStats() {
+		busy += st.Busy
+	}
+	if busy > wall {
+		t.Fatalf("phases booked %v busy within a %v wall on one worker", busy, wall)
+	}
+	if cb := batch.BusyTime() + inter.BusyTime(); cb > wall {
+		t.Fatalf("clients booked %v busy within a %v wall on one worker", cb, wall)
+	}
+	if ib := inter.BusyTime(); ib < sleep {
+		t.Fatalf("interactive client booked %v, want at least its %v task", ib, sleep)
+	}
+	if pb := pool.PhaseStats()[PhaseProbe]; pb.Tasks != 1 || pb.Busy < sleep {
+		t.Fatalf("inline task accounted as %+v, want 1 task of at least %v", pb, sleep)
 	}
 }

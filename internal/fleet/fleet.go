@@ -49,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hamiltonian"
 	"repro/internal/passivity"
 	"repro/internal/statespace"
 )
@@ -78,28 +77,12 @@ type EngineOptions struct {
 	// FailFast makes Submit return ErrQueueFull immediately instead of
 	// blocking when MaxQueued jobs are in flight.
 	FailFast bool
-	// ShiftCacheSize sizes the engine-wide shift-factorization cache
-	// shared by every job (hamiltonian.OpCache): jobs characterizing the
-	// same model share one balanced operator, one packed-kernel epoch, and
-	// one LRU of factored SMW shifts. 0 means DefaultShiftCacheSize;
-	// < 0 disables cross-job sharing (each job then runs with the
-	// per-solve cache policy of its own core.Options.ShiftCacheSize).
-	// Results are bit-identical either way — the cache only skips
-	// redundant factorization work.
-	ShiftCacheSize int
 }
-
-// DefaultShiftCacheSize is the engine-wide factorization-cache capacity
-// when EngineOptions.ShiftCacheSize is zero: four per-solve defaults, so a
-// handful of concurrent jobs can keep their startup shifts resident at
-// once.
-const DefaultShiftCacheSize = 4 * core.DefaultShiftCacheSize
 
 // Engine owns the shared worker pool and tracks in-flight jobs.
 type Engine struct {
 	pool     *core.Pool
-	ops      *hamiltonian.OpCache // engine-wide operator + shift-factor cache, nil when disabled
-	sem      chan struct{}        // admission slots, nil when unbounded
+	sem      chan struct{} // admission slots, nil when unbounded
 	failFast bool
 
 	mu       sync.Mutex
@@ -126,39 +109,21 @@ func NewEngine(o EngineOptions) *Engine {
 		failFast: o.FailFast,
 		closedCh: make(chan struct{}),
 	}
-	if o.ShiftCacheSize >= 0 {
-		size := o.ShiftCacheSize
-		if size == 0 {
-			size = DefaultShiftCacheSize
-		}
-		e.ops = hamiltonian.NewOpCache(size)
-	}
 	if o.MaxQueued > 0 {
 		e.sem = make(chan struct{}, o.MaxQueued)
 	}
 	return e
 }
 
-// ShiftCacheStats snapshots the engine-wide factorization cache's
-// counters (zero-valued when cross-job sharing is disabled).
-func (e *Engine) ShiftCacheStats() hamiltonian.CacheStats {
-	if e.ops == nil {
-		return hamiltonian.CacheStats{}
-	}
-	return e.ops.ShiftCache().Stats()
+// CacheStats is read by perfbench (closed.go:232, daemon.go:375,
+// layers.go:77); always zero; remove with the next benchmark PR.
+type CacheStats struct {
+	Hits, Misses, Evictions uint64
 }
 
-// ModelCacheStats attributes the engine-wide cache's traffic to one
-// model's shared scattering operator — the hits and misses that model's
-// jobs generated, regardless of what the rest of the fleet did. Zero when
-// cross-job sharing is disabled or the model never ran through this
-// engine. cmd/fleetbench uses it for per-case cache columns.
-func (e *Engine) ModelCacheStats(m *statespace.Model) hamiltonian.CacheStats {
-	if e.ops == nil {
-		return hamiltonian.CacheStats{}
-	}
-	return e.ops.StatsFor(m, hamiltonian.Scattering)
-}
+// ShiftCacheStats is read by perfbench (closed.go:232, daemon.go:375,
+// layers.go:77); always zero; remove with the next benchmark PR.
+func (e *Engine) ShiftCacheStats() CacheStats { return CacheStats{} }
 
 // Workers returns the shared pool's worker count.
 func (e *Engine) Workers() int { return e.pool.Workers() }
@@ -361,9 +326,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 			opts := *req.Enforce
 			opts.Char.Core.Pool = e.pool
 			opts.Char.Core.Client = client
-			if opts.Char.Ops == nil {
-				opts.Char.Ops = e.ops
-			}
 			if req.Progress != nil {
 				opts.Char.Core.Progress = req.Progress
 			}
@@ -390,9 +352,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 		opts := req.Char
 		opts.Core.Pool = e.pool
 		opts.Core.Client = client
-		if opts.Ops == nil {
-			opts.Ops = e.ops
-		}
 		if req.Progress != nil {
 			opts.Core.Progress = req.Progress
 		}

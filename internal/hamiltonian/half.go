@@ -2,7 +2,6 @@ package hamiltonian
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/mat"
@@ -88,16 +87,12 @@ type NewOptions struct {
 }
 
 // HalfOp is the half-size operator N = A² + U·V of a reciprocal model's
-// Hamiltonian, sharing its parent Op's model, shift cache and stats. It is
-// read-only after construction and safe for concurrent use; per-shift
-// state lives in HalfShiftOp.
+// Hamiltonian, sharing its parent Op's model. It is read-only after
+// construction and safe for concurrent use; per-shift state lives in
+// HalfShiftOp.
 type HalfOp struct {
 	op   *Op
 	n, p int
-	// id is this operator's own cache identity: half-path factors and
-	// full-path factors of the same Op must never collide in a shared
-	// ShiftCache.
-	id uint64
 	// vt is the coupling V stored transposed (n×2p row-major) so the
 	// block-local panel kernels and the V apply stream one contiguous
 	// 2p-row per state.
@@ -168,7 +163,7 @@ func newHalfOp(op *Op) (*HalfOp, error) {
 			vt[j*q+p+i] = row2.At(i, j)
 		}
 	}
-	return &HalfOp{op: op, n: n, p: p, id: opIDs.Add(1), vt: vt}, nil
+	return &HalfOp{op: op, n: n, p: p, vt: vt}, nil
 }
 
 // Dim returns the half-size dimension n.
@@ -201,56 +196,23 @@ func (h *HalfOp) getHalfPanel() []float64 {
 	return make([]float64, 4*h.p*h.p)
 }
 
-// shiftKeyFor keys a half-path factorization: the HalfOp's own identity
-// plus the model's kernel epoch, active backend and exact shift bits.
-func (h *HalfOp) shiftKeyFor(tau complex128) shiftKey {
-	return shiftKey{
-		opID:    h.id,
-		epoch:   h.op.Model.KernelEpoch(),
-		backend: h.op.Model.ActiveBackend(),
-		re:      math.Float64bits(real(tau)),
-		im:      math.Float64bits(imag(tau)),
-	}
-}
-
 // ShiftInvert factors (N − τI)⁻¹ via the same SMW identity as the full
 // path: Gτ − Gτ·U·(I + V·Gτ·U)⁻¹·V·Gτ with Gτ = (A² − τI)⁻¹ block
 // diagonal. The shift τ must be real (the sweep's τ = −ω² always is);
-// factorization and applies then run entirely in real arithmetic. The
-// attached ShiftCache (the parent Op's) is consulted first; half-path
-// entries carry their own operator identity so they never mix with
-// full-path factors. Callers must Release the returned operator.
+// factorization and applies then run entirely in real arithmetic: the
+// real 2p×2p panel V·Gτ·U comes from one pass over the packed kernels and
+// the capacitance I + V·Gτ·U gets a real LU. Callers must Release the
+// returned operator.
 func (h *HalfOp) ShiftInvert(tau complex128) (*HalfShiftOp, error) {
 	if imag(tau) != 0 {
 		return nil, fmt.Errorf("hamiltonian: half shift %v must be real", tau)
 	}
-	if c := h.op.cache.Load(); c != nil {
-		return c.shiftInvertHalf(h, tau)
-	}
-	fac, err := h.factorShift(tau)
-	if err != nil {
-		return nil, err
-	}
-	return h.newShiftOp(fac, nil), nil
-}
-
-// factorShift runs the half-size SMW setup for one shift: the real 2p×2p
-// panel V·Gτ·U in one pass over the packed kernels, then capacitance
-// assembly and factorization.
-func (h *HalfOp) factorShift(tau complex128) (*shiftFactor, error) {
 	panel := h.getHalfPanel()
 	defer h.panelPool.Put(panel)
-	if err := h.op.Model.RResolventA2BPair(panel, h.vt, 2*h.p, real(tau)); err != nil {
+	q := 2 * h.p
+	if err := h.op.Model.RResolventA2BPair(panel, h.vt, q, real(tau)); err != nil {
 		return nil, fmt.Errorf("hamiltonian: half shift %v hits a pole: %w", tau, err)
 	}
-	return h.assembleFactor(tau, panel)
-}
-
-// assembleFactor builds and factors the real cap = I + V·Gτ·U from the
-// panel. Shared by the single-shift and batched prefactor paths, which
-// hand it bit-identical panels.
-func (h *HalfOp) assembleFactor(tau complex128, panel []float64) (*shiftFactor, error) {
-	q := 2 * h.p
 	capm := mat.NewDense(q, q)
 	for i := 0; i < q; i++ {
 		copy(capm.Row(i), panel[i*q:(i+1)*q])
@@ -260,35 +222,35 @@ func (h *HalfOp) assembleFactor(tau complex128, panel []float64) (*shiftFactor, 
 	if err != nil {
 		return nil, fmt.Errorf("hamiltonian: half shift %v is (numerically) an eigenvalue: %w", tau, err)
 	}
-	return &shiftFactor{theta: tau, rcap: f}, nil
+	return h.newShiftOp(real(tau), f), nil
 }
 
 // HalfShiftOp is the half-size shift-invert operator (N − τI)⁻¹ for one
-// real shift τ: a shared immutable factor plus private apply scratch. All
-// vectors are real. Like ShiftOp it is single-goroutine; concurrent
-// HalfShiftOps may share the factorization. Call Release when done.
+// real shift τ: the real-LU-factored capacitance plus private apply
+// scratch. All vectors are real. Like ShiftOp it is single-goroutine.
+// Call Release when done.
 type HalfShiftOp struct {
-	h     *HalfOp
-	fac   *shiftFactor
-	entry *cacheEntry
+	h    *HalfOp
+	tau  float64
+	rcap *mat.LU // factored (I + V·Gτ·U), 2p×2p
 	// scratch
 	g, gu   []float64 // n
 	s, t    []float64 // 2p
 	permBuf []float64 // 2p
 }
 
-// newShiftOp wraps a factor in a (pooled) HalfShiftOp shell.
-func (h *HalfOp) newShiftOp(fac *shiftFactor, entry *cacheEntry) *HalfShiftOp {
+// newShiftOp wraps a factored capacitance in a (pooled) HalfShiftOp shell.
+func (h *HalfOp) newShiftOp(tau float64, rcap *mat.LU) *HalfShiftOp {
 	if so, ok := h.shiftPool.Get().(*HalfShiftOp); ok {
-		so.fac, so.entry = fac, entry
+		so.tau, so.rcap = tau, rcap
 		return so
 	}
 	n, q := h.n, 2*h.p
 	buf := make([]float64, 2*n+3*q)
 	return &HalfShiftOp{
 		h:       h,
-		fac:     fac,
-		entry:   entry,
+		tau:     tau,
+		rcap:    rcap,
 		g:       buf[:n],
 		gu:      buf[n : 2*n],
 		s:       buf[2*n : 2*n+q],
@@ -297,22 +259,18 @@ func (h *HalfOp) newShiftOp(fac *shiftFactor, entry *cacheEntry) *HalfShiftOp {
 	}
 }
 
-// Release returns the operator's scratch to the pool and unpins its cache
-// entry, mirroring ShiftOp.Release.
+// Release returns the operator's scratch to the pool, mirroring
+// ShiftOp.Release.
 func (so *HalfShiftOp) Release() {
 	if so == nil {
 		return
 	}
-	if so.entry != nil {
-		so.entry.cache.release(so.entry)
-		so.entry = nil
-	}
-	so.fac = nil
+	so.rcap = nil
 	so.h.shiftPool.Put(so)
 }
 
 // Theta returns the shift τ (in μ = λ² space).
-func (so *HalfShiftOp) Theta() complex128 { return so.fac.theta }
+func (so *HalfShiftOp) Theta() complex128 { return complex(so.tau, 0) }
 
 // Dim returns the half-size dimension n.
 func (so *HalfShiftOp) Dim() int { return so.h.n }
@@ -325,13 +283,13 @@ func (so *HalfShiftOp) Apply(y, x []float64) error {
 	if len(x) != n || len(y) != n {
 		panic(fmt.Sprintf("hamiltonian: HalfShiftOp.Apply expects vectors of length %d", n))
 	}
-	tau := real(so.fac.theta)
+	tau := so.tau
 	m := h.op.Model
 	if err := m.RSolveShiftedA2(so.g, x, tau); err != nil {
 		return err
 	}
 	h.applyV(so.s, so.g)
-	so.fac.rcap.SolveIntoScratch(so.s, so.s, so.permBuf)
+	so.rcap.SolveIntoScratch(so.s, so.s, so.permBuf)
 	m.RApplyABPair(so.gu, so.s[:h.p], so.s[h.p:])
 	if err := m.RSolveShiftedA2(so.gu, so.gu, tau); err != nil {
 		return err
@@ -355,58 +313,4 @@ func (so *HalfShiftOp) ApplyBase(y, x []float64) error {
 		y[i] += so.gu[i]
 	}
 	return nil
-}
-
-// PrefactorShifts factors every half-path shift in taus into the attached
-// cache using the batched panel kernel, mirroring Op.PrefactorShifts:
-// resident shifts are skipped, failures are left to the solve path, and
-// the published factors are bit-identical to lazy ones.
-func (h *HalfOp) PrefactorShifts(taus []complex128) {
-	c := h.op.cache.Load()
-	if c == nil || len(taus) == 0 {
-		return
-	}
-	need := make([]complex128, 0, len(taus))
-	keys := make([]shiftKey, 0, len(taus))
-	seen := make(map[shiftKey]struct{}, len(taus))
-	for _, tau := range taus {
-		if imag(tau) != 0 {
-			continue // half shifts are real by construction; leave odd ones to the solve path's error
-		}
-		k := h.shiftKeyFor(tau)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		c.mu.Lock()
-		_, resident := c.entries[k]
-		c.mu.Unlock()
-		if resident {
-			continue
-		}
-		need = append(need, tau)
-		keys = append(keys, k)
-	}
-	if len(need) == 0 {
-		return
-	}
-	q := 2 * h.p
-	sz := q * q
-	panels := make([]float64, len(need)*sz)
-	errs := make([]error, len(need))
-	rtaus := make([]float64, len(need))
-	for i, tau := range need {
-		rtaus[i] = real(tau)
-	}
-	h.op.Model.RResolventA2BPairMulti(panels, h.vt, q, rtaus, errs)
-	for i, tau := range need {
-		if errs[i] != nil {
-			continue
-		}
-		fac, err := h.assembleFactor(tau, panels[i*sz:(i+1)*sz])
-		if err != nil {
-			continue
-		}
-		c.publish(keys[i], fac)
-	}
 }

@@ -224,61 +224,6 @@ func TestHalfShiftInvertMatchesDense(t *testing.T) {
 	}
 }
 
-// TestHalfPrefactorBitIdentity checks that prefactored half-path shifts
-// produce bit-identical applies to the lazily factored ones, and that the
-// half path under a cache matches the cacheless path exactly.
-func TestHalfPrefactorBitIdentity(t *testing.T) {
-	m := reciprocalModel(t, 34, 2, 14, 1.05)
-	taus := []complex128{complex(-9e18, 0), complex(-4e19, 0), complex(-1e17, 0)}
-
-	build := func(prefactor bool) [][]float64 {
-		op, err := New(m, Scattering)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := op.Half()
-		if h == nil {
-			t.Fatal("half path not engaged")
-		}
-		if prefactor {
-			op.EnsureShiftCache(8)
-			op.PrefactorSweep(taus)
-		}
-		rng := rand.New(rand.NewSource(21))
-		var outs [][]float64
-		for _, tau := range taus {
-			so, err := h.ShiftInvert(tau)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := randRVec(rng, h.Dim())
-			y := make([]float64, h.Dim())
-			if err := so.Apply(y, x); err != nil {
-				t.Fatal(err)
-			}
-			so.Release()
-			outs = append(outs, y)
-		}
-		if prefactor {
-			stats := op.OpCacheStats()
-			if stats.Hits != uint64(len(taus)) {
-				t.Fatalf("prefactored run: want %d cache hits, got %+v", len(taus), stats)
-			}
-		}
-		return outs
-	}
-
-	plain := build(false)
-	cached := build(true)
-	for i := range plain {
-		for j := range plain[i] {
-			if plain[i][j] != cached[i][j] {
-				t.Fatalf("shift %d: cached apply differs at %d: %v vs %v", i, j, plain[i][j], cached[i][j])
-			}
-		}
-	}
-}
-
 // TestHalfPathGating covers the dispatch matrix: non-reciprocal models
 // stay on the full path under HalfAuto, HalfOff disables the half path on
 // reciprocal models, and a near-reciprocal model flips with HalfTol.

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mat"
 	"repro/internal/statespace"
@@ -71,25 +70,11 @@ type Op struct {
 	P     int        // ports
 	w     *mat.Dense // 2p×2p coupling
 
-	// id is a process-unique operator identity. A ShiftCache may serve many
-	// Ops (the fleet engine shares one cache across jobs), so cache keys
-	// combine id with the model's kernel epoch and the exact shift bits —
-	// epoch alone cannot distinguish two different models.
-	id uint64
-
 	// half, when non-nil, is the half-size reciprocal sweep operator
 	// (spec(M)² on n states instead of spec(M) on 2n). Built by NewWith
 	// when the model is reciprocal and the half path is enabled; shares
-	// this Op's model, cache and traffic counters.
+	// this Op's model.
 	half *HalfOp
-
-	// cache, when set, memoizes factored shift state across ShiftInvert
-	// calls (see ShiftCache). Atomic so fleet wiring and in-flight solves
-	// never race; nil means every ShiftInvert factors from scratch.
-	cache atomic.Pointer[ShiftCache]
-	// cacheHits/cacheMisses attribute cache traffic to this operator —
-	// an engine-wide cache's global counters can't break down per case.
-	cacheHits, cacheMisses atomic.Uint64
 
 	// applyPool recycles Apply workspaces (t, wt ∈ C^{2p}, u ∈ C^{2n}) so
 	// steady-state Apply calls are allocation-free; ω_max estimation and
@@ -97,14 +82,11 @@ type Op struct {
 	applyPool sync.Pool
 	// panelPool recycles the p×p SMW setup panels of ShiftInvert.
 	panelPool sync.Pool
-	// shiftPool recycles ShiftOp shells (apply scratch only — the factored
-	// state lives in shiftFactor), so a cache hit builds its operator with
-	// zero allocations.
+	// shiftPool recycles ShiftOp shells (apply scratch only; each shift
+	// factors its own capacitance), so a new shift reuses the last one's
+	// scratch.
 	shiftPool sync.Pool
 }
-
-// opIDs hands out process-unique Op identities for cache keying.
-var opIDs atomic.Uint64
 
 type applyScratch struct{ t, wt, u []complex128 }
 
@@ -207,7 +189,7 @@ func NewWith(m *statespace.Model, rep Representation, opts NewOptions) (*Op, err
 	default:
 		return nil, fmt.Errorf("hamiltonian: unknown representation %v", rep)
 	}
-	op := &Op{Model: m, Rep: rep, N: m.Order(), P: p, w: w, id: opIDs.Add(1)}
+	op := &Op{Model: m, Rep: rep, N: m.Order(), P: p, w: w}
 	if useHalf {
 		h, err := newHalfOp(op)
 		if err != nil {
@@ -247,39 +229,12 @@ func (op *Op) HalfRouted(omega, rho0 float64) bool {
 
 // SweepTheta maps a sweep shift (ω, ρ₀) to the shift the routed path
 // factors at: jω on the full path, τ = −ω² (the squared eigenvalue) on
-// the half path. Core must obtain sweep shifts through this method so
-// lazily factored and prefactored shifts agree to the bit.
+// the half path.
 func (op *Op) SweepTheta(omega, rho0 float64) complex128 {
 	if op.HalfRouted(omega, rho0) {
 		return complex(-(omega * omega), 0)
 	}
 	return complex(0, omega)
-}
-
-// PrefactorSweep batch-prefactors sweep shifts (as produced by
-// SweepTheta) on the path each belongs to. Half-path shifts are exactly
-// the ones with a nonzero real part: full-path sweep shifts are purely
-// imaginary by construction and half-path shifts are −ω² < 0 (ω = 0
-// always routes full).
-func (op *Op) PrefactorSweep(thetas []complex128) {
-	if op.half == nil {
-		op.PrefactorShifts(thetas)
-		return
-	}
-	var full, half []complex128
-	for _, th := range thetas {
-		if real(th) != 0 {
-			half = append(half, th)
-		} else {
-			full = append(full, th)
-		}
-	}
-	if len(full) > 0 {
-		op.PrefactorShifts(full)
-	}
-	if len(half) > 0 {
-		op.half.PrefactorShifts(half)
-	}
 }
 
 func setBlock(dst *mat.Dense, i0, j0 int, b *mat.Dense) {
@@ -347,42 +302,25 @@ func (op *Op) Apply(y, x []complex128) {
 	op.applyPool.Put(ws)
 }
 
-// shiftFactor is the immutable factored state of one shift-invert setup:
-// the shift and the LU-factored 2p×2p SMW capacitance. It is read-only
-// after construction, so any number of ShiftOps — across goroutines — may
-// apply against the same shiftFactor concurrently (the CLU solve takes
-// caller scratch). This is the unit the ShiftCache stores.
-type shiftFactor struct {
-	theta complex128
-	cap   *mat.CLU // factored (I + W·V·G·U), 2p×2p (full path)
-	// rcap is the half path's capacitance: for the real shift τ = −ω² the
-	// squared operator's SMW capacitance I + V·Gτ·U is real, so half-path
-	// factors carry a real LU (cap stays nil) and applies run entirely in
-	// real arithmetic.
-	rcap *mat.LU
-}
-
-// ShiftOp is a shift-invert operator (M − ϑI)⁻¹ for one shift ϑ: a shared
-// immutable shiftFactor plus private apply scratch. Each apply costs
-// O(n·p). Not safe for concurrent use (scratch buffers); create one per
-// goroutine — concurrent ShiftOps may share the underlying factorization.
-// Call Release when done: it unpins the cache entry (if the operator came
-// from a ShiftCache) and recycles the scratch. Using a ShiftOp after
-// Release is a bug.
+// ShiftOp is a shift-invert operator (M − ϑI)⁻¹ for one shift ϑ: the
+// LU-factored 2p×2p SMW capacitance plus private apply scratch. Each apply
+// costs O(n·p). Not safe for concurrent use (scratch buffers); create one
+// per goroutine. Call Release when done: it recycles the scratch. Using a
+// ShiftOp after Release is a bug.
 type ShiftOp struct {
 	op    *Op
-	fac   *shiftFactor
-	entry *cacheEntry // non-nil iff pinned in a ShiftCache
+	theta complex128
+	cap   *mat.CLU // factored (I + W·V·G·U), 2p×2p
 	// scratch
 	g, gu   []complex128 // 2n
 	t, s    []complex128 // 2p
 	permBuf []complex128 // 2p, CLU permutation gather
 }
 
-// newShiftOp wraps a factor in a (pooled) ShiftOp shell.
-func (op *Op) newShiftOp(fac *shiftFactor, entry *cacheEntry) *ShiftOp {
+// newShiftOp wraps a factored capacitance in a (pooled) ShiftOp shell.
+func (op *Op) newShiftOp(theta complex128, capLU *mat.CLU) *ShiftOp {
 	if so, ok := op.shiftPool.Get().(*ShiftOp); ok {
-		so.fac, so.entry = fac, entry
+		so.theta, so.cap = theta, capLU
 		return so
 	}
 	n, p2 := op.N, 2*op.P
@@ -390,8 +328,8 @@ func (op *Op) newShiftOp(fac *shiftFactor, entry *cacheEntry) *ShiftOp {
 	buf := make([]complex128, 4*n+3*p2)
 	return &ShiftOp{
 		op:      op,
-		fac:     fac,
-		entry:   entry,
+		theta:   theta,
+		cap:     capLU,
 		g:       buf[:2*n],
 		gu:      buf[2*n : 4*n],
 		t:       buf[4*n : 4*n+p2],
@@ -400,20 +338,14 @@ func (op *Op) newShiftOp(fac *shiftFactor, entry *cacheEntry) *ShiftOp {
 	}
 }
 
-// Release returns the operator's scratch to the pool and, when the
-// factorization came from a ShiftCache, unpins its entry so eviction may
-// reclaim it. Safe on nil. Idempotent within one ownership cycle only —
-// after Release the ShiftOp may be handed to another goroutine by the
-// pool.
+// Release returns the operator's scratch to the pool. Safe on nil.
+// Idempotent within one ownership cycle only — after Release the ShiftOp
+// may be handed to another goroutine by the pool.
 func (so *ShiftOp) Release() {
 	if so == nil {
 		return
 	}
-	if so.entry != nil {
-		so.entry.cache.release(so.entry)
-		so.entry = nil
-	}
-	so.fac = nil
+	so.cap = nil
 	so.op.shiftPool.Put(so)
 }
 
@@ -432,45 +364,19 @@ func (so *ShiftOp) Release() {
 // O(n·p) + O(p³) for the capacitance assembly/factorization — not the 2p
 // independent O(n·p) column passes of the naive route. Fails with
 // ErrSingular when ϑ coincides with an eigenvalue of A/−Aᵀ or of M itself.
-//
-// When a ShiftCache is attached (EnsureShiftCache / fleet wiring), the
-// factored state is looked up by (op, kernel epoch, exact ϑ bits) first and
-// only factored on a miss; either way the returned operator is bit-for-bit
-// the operator the uncached path would build, so solves are unaffected by
-// cache state. Callers must Release the returned ShiftOp.
+// Callers must Release the returned ShiftOp.
 func (op *Op) ShiftInvert(theta complex128) (*ShiftOp, error) {
-	if c := op.cache.Load(); c != nil {
-		return c.shiftInvert(op, theta)
-	}
-	fac, err := op.factorShift(theta)
-	if err != nil {
-		return nil, err
-	}
-	return op.newShiftOp(fac, nil), nil
-}
-
-// factorShift runs the full SMW setup for one shift: both resolvent panels
-// plus capacitance assembly and factorization.
-func (op *Op) factorShift(theta complex128) (*shiftFactor, error) {
 	// Panels: x1 = C·(A−ϑI)⁻¹·B, x2 = Bᵀ·(Aᵀ−(−ϑ)I)⁻¹·Cᵀ (negated during
 	// assembly).
 	ps := op.getPanels()
 	defer op.panelPool.Put(ps)
-	if err := op.Model.CResolventB(ps.x1, theta); err != nil {
+	x1, x2 := ps.x1, ps.x2
+	if err := op.Model.CResolventB(x1, theta); err != nil {
 		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
 	}
-	if err := op.Model.BTResolventCT(ps.x2, -theta); err != nil {
+	if err := op.Model.BTResolventCT(x2, -theta); err != nil {
 		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
 	}
-	return op.assembleFactor(theta, ps.x1, ps.x2)
-}
-
-// assembleFactor builds and factors the SMW capacitance from the two
-// resolvent panels x1 = C·(A−ϑI)⁻¹·B and x2 = Bᵀ·(Aᵀ+ϑI)⁻¹·Cᵀ (x2 is
-// negated in place here). Shared by the single-shift path and the batched
-// prefactor path; both hand it bit-identical panels, so the factors agree
-// exactly.
-func (op *Op) assembleFactor(theta complex128, x1, x2 []complex128) (*shiftFactor, error) {
 	p := op.P
 	p2 := 2 * p
 	for i := range x2 {
@@ -504,13 +410,13 @@ func (op *Op) assembleFactor(theta complex128, x1, x2 []complex128) (*shiftFacto
 	if err != nil {
 		return nil, fmt.Errorf("hamiltonian: shift %v is (numerically) an eigenvalue: %w", theta, err)
 	}
-	return &shiftFactor{theta: theta, cap: f}, nil
+	return op.newShiftOp(theta, f), nil
 }
 
 // applyG computes y = G·x = [(A−ϑI)⁻¹x₁; (−Aᵀ−ϑI)⁻¹x₂] in O(n).
 func (so *ShiftOp) applyG(y, x []complex128) error {
 	n := so.op.N
-	theta := so.fac.theta
+	theta := so.theta
 	if err := so.op.Model.CSolveShiftedA(y[:n], x[:n], theta); err != nil {
 		return err
 	}
@@ -525,7 +431,7 @@ func (so *ShiftOp) applyG(y, x []complex128) error {
 }
 
 // Theta returns the shift.
-func (so *ShiftOp) Theta() complex128 { return so.fac.theta }
+func (so *ShiftOp) Theta() complex128 { return so.theta }
 
 // Dim returns the dimension 2n of the underlying Hamiltonian.
 func (so *ShiftOp) Dim() int { return 2 * so.op.N }
@@ -550,9 +456,7 @@ func (so *ShiftOp) Apply(y, x []complex128) error {
 	}
 	op.applyV(so.t, so.g)
 	op.applyW(so.s, so.t)
-	// Caller-scratch solve: the factorization may be shared with other
-	// in-flight ShiftOps via the cache, so it must stay read-only here.
-	so.fac.cap.SolveIntoScratch(so.s, so.s, so.permBuf)
+	so.cap.SolveIntoScratch(so.s, so.s, so.permBuf)
 	op.applyU(so.gu, so.s)
 	if err := so.applyG(so.gu, so.gu); err != nil {
 		return err

@@ -59,12 +59,11 @@ func TestHalfPathMatchesFullOnReciprocalCases(t *testing.T) {
 	}
 }
 
-// TestBackendBitIdentityAcrossThreadsAndCache pins the determinism
-// contract of the kernel backends: for a FIXED backend, crossings are
-// bit-identical across worker counts {1, 2, 8} and with the shift-
-// factorization cache off and on; across backends, counts match and
+// TestBackendBitIdentityAcrossThreads pins the determinism contract of
+// the kernel backends: for a FIXED backend, crossings are bit-identical
+// across worker counts {1, 2, 8}; across backends, counts match and
 // frequencies agree within 1e-9·ω_max.
-func TestBackendBitIdentityAcrossThreadsAndCache(t *testing.T) {
+func TestBackendBitIdentityAcrossThreads(t *testing.T) {
 	m, err := statespace.Generate(53, statespace.GenOptions{
 		Ports: 4, Order: 32, TargetPeak: 1.05, GridPoints: 100,
 		PortsPerColumn: 2, // banded C: the sparse backend has real zeros to skip
@@ -77,31 +76,28 @@ func TestBackendBitIdentityAcrossThreadsAndCache(t *testing.T) {
 	for _, backend := range []statespace.Backend{statespace.BackendPackedDense, statespace.BackendSparse} {
 		var ref *Report
 		for _, threads := range []int{1, 2, 8} {
-			for _, cacheSize := range []int{-1, 0} { // off, default LRU
-				o := charOpts()
-				o.Core.Threads = threads
-				o.Core.ShiftCacheSize = cacheSize
-				o.Backend = backend
-				rep, err := Characterize(m, o)
-				if err != nil {
-					t.Fatalf("%v threads=%d cache=%d: %v", backend, threads, cacheSize, err)
-				}
-				if rep.Backend != backend {
-					t.Fatalf("forced %v, report says %v", backend, rep.Backend)
-				}
-				if ref == nil {
-					ref = rep
-					continue
-				}
-				if len(rep.Crossings) != len(ref.Crossings) {
-					t.Fatalf("%v threads=%d cache=%d: %d crossings vs %d at the reference config",
-						backend, threads, cacheSize, len(rep.Crossings), len(ref.Crossings))
-				}
-				for k := range rep.Crossings {
-					if rep.Crossings[k] != ref.Crossings[k] {
-						t.Fatalf("%v threads=%d cache=%d: crossing %d not bit-identical: %v vs %v",
-							backend, threads, cacheSize, k, rep.Crossings[k], ref.Crossings[k])
-					}
+			o := charOpts()
+			o.Core.Threads = threads
+			o.Backend = backend
+			rep, err := Characterize(m, o)
+			if err != nil {
+				t.Fatalf("%v threads=%d: %v", backend, threads, err)
+			}
+			if rep.Backend != backend {
+				t.Fatalf("forced %v, report says %v", backend, rep.Backend)
+			}
+			if ref == nil {
+				ref = rep
+				continue
+			}
+			if len(rep.Crossings) != len(ref.Crossings) {
+				t.Fatalf("%v threads=%d: %d crossings vs %d at the reference config",
+					backend, threads, len(rep.Crossings), len(ref.Crossings))
+			}
+			for k := range rep.Crossings {
+				if rep.Crossings[k] != ref.Crossings[k] {
+					t.Fatalf("%v threads=%d: crossing %d not bit-identical: %v vs %v",
+						backend, threads, k, rep.Crossings[k], ref.Crossings[k])
 				}
 			}
 		}

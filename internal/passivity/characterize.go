@@ -73,14 +73,6 @@ type Options struct {
 	// ProbePoints is the number of σ samples per band when locating the
 	// in-band peak. Default 40.
 	ProbePoints int
-	// Ops optionally shares Hamiltonian operators (and their shift-
-	// factorization cache) across characterizations: when set, the
-	// operator comes from the cache instead of being rebuilt, so
-	// concurrent jobs on the same model reuse one balanced realization,
-	// one packed-kernel build, and one pool of factored shifts. The fleet
-	// engine wires its engine-wide cache here. Nil (the default) builds a
-	// private operator per characterization — the standalone semantics.
-	Ops *hamiltonian.OpCache
 	// Backend forces a kernel backend on the model before the operator is
 	// built. The zero value (BackendAuto) leaves the model's current
 	// selection untouched, so callers that pre-configured the model via
@@ -135,13 +127,7 @@ func CharacterizeContext(ctx context.Context, m *statespace.Model, opts Options)
 		m.SetBackend(opts.Backend)
 	}
 	hopts := hamiltonian.NewOptions{Half: opts.Half, HalfTol: opts.HalfTol}
-	var op *hamiltonian.Op
-	var err error
-	if opts.Ops != nil {
-		op, err = opts.Ops.GetWith(m, hamiltonian.Scattering, hopts)
-	} else {
-		op, err = hamiltonian.NewWith(m, hamiltonian.Scattering, hopts)
-	}
+	op, err := hamiltonian.NewWith(m, hamiltonian.Scattering, hopts)
 	if err != nil {
 		return nil, err
 	}

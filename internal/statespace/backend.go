@@ -48,9 +48,8 @@ const sparseMinOrder = 512
 
 // SetBackend requests a kernel backend for the model. BackendAuto (the
 // default) lets the dispatcher choose per the model's structure. Changing
-// the request drops the packed kernel cache and advances the kernel epoch
-// (factor caches keyed on the old backend age out); setting the value
-// already in effect is a no-op.
+// the request drops the packed kernel cache; setting the value already in
+// effect is a no-op.
 func (m *Model) SetBackend(b Backend) {
 	if Backend(m.backend.Load()) == b {
 		return

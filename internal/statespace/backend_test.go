@@ -92,55 +92,6 @@ func TestSparseKernelEquivalence(t *testing.T) {
 					t.Fatalf("BTResolventCT backend mismatch %g", d)
 				}
 
-				// Multi panels: cross-backend at 1e-12, and bit-identical
-				// to the sparse single-shift calls.
-				thetas := []complex128{theta, theta + 0.5i, complex(-0.2, 2.1)}
-				nd := make([]complex128, len(thetas)*p*p)
-				ns := make([]complex128, len(thetas)*p*p)
-				errs := make([]error, len(thetas))
-				m.CResolventBMulti(nd, thetas, errs)
-				for _, err := range errs {
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				errs = make([]error, len(thetas))
-				sp.CResolventBMulti(ns, thetas, errs)
-				for _, err := range errs {
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				if d := maxAbsDiff(nd, ns); d > tol*vecScale(nd) {
-					t.Fatalf("CResolventBMulti backend mismatch %g", d)
-				}
-				for s, th := range thetas {
-					if err := sp.CResolventB(ps, th); err != nil {
-						t.Fatal(err)
-					}
-					for i, v := range ps {
-						if ns[s*p*p+i] != v {
-							t.Fatalf("sparse CResolventBMulti shift %d not bit-identical to single-shift", s)
-						}
-					}
-				}
-				errs = make([]error, len(thetas))
-				m.BTResolventCTMulti(nd, thetas, errs)
-				errs = make([]error, len(thetas))
-				sp.BTResolventCTMulti(ns, thetas, errs)
-				if d := maxAbsDiff(nd, ns); d > tol*vecScale(nd) {
-					t.Fatalf("BTResolventCTMulti backend mismatch %g", d)
-				}
-				for s, th := range thetas {
-					if err := sp.BTResolventCT(ps, th); err != nil {
-						t.Fatal(err)
-					}
-					for i, v := range ps {
-						if ns[s*p*p+i] != v {
-							t.Fatalf("sparse BTResolventCTMulti shift %d not bit-identical to single-shift", s)
-						}
-					}
-				}
 			})
 		}
 	}
@@ -148,8 +99,8 @@ func TestSparseKernelEquivalence(t *testing.T) {
 
 // TestBackendDispatch pins the deterministic auto rule and the override
 // semantics: small or dense models run packed-dense, large sparse models
-// flip to CSR, and SetBackend both forces the choice and advances the
-// kernel epoch so stale factors age out.
+// flip to CSR, and SetBackend forces the choice (a redundant request
+// keeps the packed kernels).
 func TestBackendDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	small := randModel(rng, 4)
@@ -175,18 +126,14 @@ func TestBackendDispatch(t *testing.T) {
 		t.Fatalf("selection reports %v, want auto", got)
 	}
 
-	epoch := big.KernelEpoch()
 	big.SetBackend(BackendPackedDense)
-	if big.KernelEpoch() == epoch {
-		t.Fatal("SetBackend did not advance the kernel epoch")
-	}
 	if got := big.ActiveBackend(); got != BackendPackedDense {
 		t.Fatalf("forced packed-dense resolved to %v", got)
 	}
-	epoch = big.KernelEpoch()
+	pk := big.pack.Load()
 	big.SetBackend(BackendPackedDense) // no-op
-	if big.KernelEpoch() != epoch {
-		t.Fatal("redundant SetBackend advanced the kernel epoch")
+	if big.pack.Load() != pk {
+		t.Fatal("redundant SetBackend dropped the packed kernels")
 	}
 
 	clone := big.Clone()
@@ -284,23 +231,6 @@ func TestSquaredKernelEquivalence(t *testing.T) {
 				}
 			}
 
-			taus := []complex128{tau, tau - 0.7, complex(-3, 0.1)}
-			multi := make([]complex128, len(taus)*q*2*p)
-			errs := make([]error, len(taus))
-			m.VResolventA2BPairMulti(multi, vt, q, taus, errs)
-			for s, th := range taus {
-				if errs[s] != nil {
-					t.Fatal(errs[s])
-				}
-				if err := m.VResolventA2BPair(dst, vt, q, th); err != nil {
-					t.Fatal(err)
-				}
-				for i, v := range dst {
-					if multi[s*q*2*p+i] != v {
-						t.Fatalf("VResolventA2BPairMulti shift %d not bit-identical", s)
-					}
-				}
-			}
 		})
 	}
 }
@@ -432,7 +362,7 @@ func TestSparseApplyZeroAllocs(t *testing.T) {
 	}
 	yp := make([]complex128, m.P)
 	yn := make([]complex128, n)
-	m.CApplyC(yp, x)  // warm the CSR build and kernel cache
+	m.CApplyC(yp, x) // warm the CSR build and kernel cache
 	m.CApplyCT(yn, u)
 	if avg := testing.AllocsPerRun(100, func() { m.CApplyC(yp, x) }); avg != 0 {
 		t.Fatalf("sparse CApplyC allocates %.1f objects per call, want 0", avg)

@@ -71,18 +71,11 @@ func (m *Model) packKernels() *packed {
 	return pk
 }
 
-// InvalidateKernels drops the cached packed kernel data and advances the
-// kernel epoch (KernelEpoch), which invalidates every factorization-cache
-// entry keyed on the previous generation. Callers that mutate a Model in
-// place (pole or residue updates) must invalidate before the next
-// structured-operator call; Clone/Balanced/FrequencyScaled return fresh
-// models and need no invalidation. The epoch bump happens before the cache
-// drop so a concurrent reader can rebuild against stale coefficients only
-// under the already-superseded epoch, never under the new one.
-func (m *Model) InvalidateKernels() {
-	m.epoch.Add(1)
-	m.pack.Store(nil)
-}
+// InvalidateKernels drops the cached packed kernel data. Callers that
+// mutate a Model in place (pole or residue updates) must invalidate before
+// the next structured-operator call; Clone/Balanced/FrequencyScaled return
+// fresh models and need no invalidation.
+func (m *Model) InvalidateKernels() { m.pack.Store(nil) }
 
 func (m *Model) buildPacked() *packed {
 	n := m.Order()
@@ -396,160 +389,4 @@ func (m *Model) BTResolventCT(dst []complex128, theta complex128) error {
 		}
 	}
 	return nil
-}
-
-// ---- batched multi-shift panels ----
-//
-// The per-shift SMW setup walks every packed kernel array once per panel.
-// When a characterization schedules several shifts at once (the κT startup
-// intervals, a warm-start crossing seed set), those walks are the same
-// streams re-read per shift; the Multi variants hoist the shift loop inside
-// the block loop so each block's coefficients and Cᵀ rows are loaded once
-// and reused for every shift in the batch.
-//
-// Bit-identity contract: for every shift s, the panel written to
-// dst[s·p² : (s+1)·p²] is bit-identical to the single-shift call with
-// thetas[s] — the per-(block, shift) arithmetic is the same expression
-// sequence and blocks accumulate in the same order, so a factorization
-// built from a batched panel equals one built from a solo panel exactly.
-// Equivalence is pinned by TestMultiShiftPanelsBitIdentical.
-
-// CResolventBMulti computes the CResolventB panel for every shift in
-// thetas in one pass over the packed kernels: panel s lands in
-// dst[s·p² : (s+1)·p²] (dst must have length ≥ len(thetas)·p²). A shift
-// that coincides with a pole gets mat.ErrSingular in errs[s] (len(errs)
-// must equal len(thetas)) and its panel is left partial; the remaining
-// shifts are unaffected.
-func (m *Model) CResolventBMulti(dst []complex128, thetas []complex128, errs []error) {
-	pk := m.packKernels()
-	p := pk.p
-	pp := p * p
-	if len(dst) < len(thetas)*pp || len(errs) != len(thetas) {
-		panic("statespace: CResolventBMulti buffer sizes")
-	}
-	if pk.backend == BackendSparse {
-		pk.sparseResolventBMulti(dst, thetas, errs)
-		return
-	}
-	for i := range dst[:len(thetas)*pp] {
-		dst[i] = 0
-	}
-	for i, off := range pk.off1 {
-		sig := pk.sig1[i]
-		b1 := pk.b11[i]
-		k := int(pk.col1[i])
-		row := pk.ct[int(off)*p : (int(off)+1)*p]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			if d == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			x0 := complex(b1, 0) / d
-			r0, i0 := real(x0), imag(x0)
-			out := dst[s*pp : (s+1)*pp]
-			for r, cv := range row {
-				out[r*p+k] += complex(cv*r0, cv*i0)
-			}
-		}
-	}
-	for i, off := range pk.off2 {
-		sig, w := pk.sig2[i], pk.om2[i]
-		b1, b2 := pk.b21[i], pk.b22[i]
-		k := int(pk.col2[i])
-		row0 := pk.ct[int(off)*p : (int(off)+1)*p]
-		row1 := pk.ct[(int(off)+1)*p : (int(off)+2)*p]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			det := d*d + complex(w*w, 0)
-			if det == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			idet := 1 / det
-			// [[σ−θ, ω], [−ω, σ−θ]]·x = b.
-			x0 := (scmul(b1, d) - complex(w*b2, 0)) * idet
-			x1 := (scmul(b2, d) + complex(w*b1, 0)) * idet
-			r0, i0 := real(x0), imag(x0)
-			r1, i1 := real(x1), imag(x1)
-			out := dst[s*pp : (s+1)*pp]
-			for r := 0; r < p; r++ {
-				c0, c1 := row0[r], row1[r]
-				out[r*p+k] += complex(c0*r0+c1*r1, c0*i0+c1*i1)
-			}
-		}
-	}
-}
-
-// BTResolventCTMulti computes the BTResolventCT panel for every shift in
-// thetas in one pass over the packed kernels; layout and error semantics
-// match CResolventBMulti.
-func (m *Model) BTResolventCTMulti(dst []complex128, thetas []complex128, errs []error) {
-	pk := m.packKernels()
-	p := pk.p
-	pp := p * p
-	if len(dst) < len(thetas)*pp || len(errs) != len(thetas) {
-		panic("statespace: BTResolventCTMulti buffer sizes")
-	}
-	if pk.backend == BackendSparse {
-		pk.sparseBTResolventCTMulti(dst, thetas, errs)
-		return
-	}
-	for i := range dst[:len(thetas)*pp] {
-		dst[i] = 0
-	}
-	for i, off := range pk.off1 {
-		sig := pk.sig1[i]
-		b1 := pk.b11[i]
-		k := int(pk.col1[i])
-		row := pk.ct[int(off)*p : (int(off)+1)*p]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			if d == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			id := complex(b1, 0) / d
-			out := dst[s*pp+k*p : s*pp+(k+1)*p]
-			for r, cv := range row {
-				out[r] += scmul(cv, id)
-			}
-		}
-	}
-	for i, off := range pk.off2 {
-		sig, w := pk.sig2[i], pk.om2[i]
-		b1, b2 := pk.b21[i], pk.b22[i]
-		k := int(pk.col2[i])
-		row0 := pk.ct[int(off)*p : (int(off)+1)*p]
-		row1 := pk.ct[(int(off)+1)*p : (int(off)+2)*p]
-		for s, theta := range thetas {
-			if errs[s] != nil {
-				continue
-			}
-			d := complex(sig, 0) - theta
-			det := d*d + complex(w*w, 0)
-			if det == 0 {
-				errs[s] = mat.ErrSingular
-				continue
-			}
-			idet := 1 / det
-			out := dst[s*pp+k*p : s*pp+(k+1)*p]
-			dr, di := real(d), imag(d)
-			for r := 0; r < p; r++ {
-				c0, c1 := row0[r], row1[r]
-				u := b1*c0 + b2*c1
-				v := b1*c1 - b2*c0
-				out[r] += complex(dr*u+w*v, di*u) * idet
-			}
-		}
-	}
 }

@@ -147,81 +147,3 @@ func (m *Model) VResolventA2BPair(dst []complex128, vt []float64, q int, tau com
 	}
 	return nil
 }
-
-// VResolventA2BPairMulti computes the VResolventA2BPair panel for every
-// shift in taus in one pass over the packed kernels: panel s lands in
-// dst[s·q·2p : (s+1)·q·2p]. Error semantics match CResolventBMulti, and
-// each panel is bit-identical to the corresponding single-shift call (same
-// expression sequence, same block accumulation order).
-func (m *Model) VResolventA2BPairMulti(dst []complex128, vt []float64, q int, taus []complex128, errs []error) {
-	pk := m.packKernels()
-	p := pk.p
-	sz := q * 2 * p
-	if len(dst) < len(taus)*sz || len(errs) != len(taus) {
-		panic("statespace: VResolventA2BPairMulti buffer sizes")
-	}
-	for i := range dst[:len(taus)*sz] {
-		dst[i] = 0
-	}
-	for i, off := range pk.off1 {
-		s := pk.sig1[i]
-		b1 := pk.b11[i]
-		k := int(pk.col1[i])
-		row := vt[int(off)*q : (int(off)+1)*q]
-		for si, tau := range taus {
-			if errs[si] != nil {
-				continue
-			}
-			d := complex(s*s, 0) - tau
-			if d == 0 {
-				errs[si] = mat.ErrSingular
-				continue
-			}
-			gb := complex(b1, 0) / d
-			ga := scmul(s, gb)
-			ar, ai := real(ga), imag(ga)
-			br, bi := real(gb), imag(gb)
-			out := dst[si*sz : (si+1)*sz]
-			for r, vv := range row {
-				out[r*2*p+k] += complex(vv*ar, vv*ai)
-				out[r*2*p+p+k] += complex(vv*br, vv*bi)
-			}
-		}
-	}
-	for i, off := range pk.off2 {
-		sg, w := pk.sig2[i], pk.om2[i]
-		w2 := 2 * sg * w
-		sp := sg*sg - w*w
-		b1, b2 := pk.b21[i], pk.b22[i]
-		ab1, ab2 := sg*b1+w*b2, -w*b1+sg*b2
-		k := int(pk.col2[i])
-		row0 := vt[int(off)*q : (int(off)+1)*q]
-		row1 := vt[(int(off)+1)*q : (int(off)+2)*q]
-		for si, tau := range taus {
-			if errs[si] != nil {
-				continue
-			}
-			d := complex(sp, 0) - tau
-			det := d*d + complex(w2*w2, 0)
-			if det == 0 {
-				errs[si] = mat.ErrSingular
-				continue
-			}
-			idet := 1 / det
-			ga0 := (scmul(ab1, d) - complex(w2*ab2, 0)) * idet
-			ga1 := (scmul(ab2, d) + complex(w2*ab1, 0)) * idet
-			gb0 := (scmul(b1, d) - complex(w2*b2, 0)) * idet
-			gb1 := (scmul(b2, d) + complex(w2*b1, 0)) * idet
-			a0r, a0i := real(ga0), imag(ga0)
-			a1r, a1i := real(ga1), imag(ga1)
-			b0r, b0i := real(gb0), imag(gb0)
-			b1r, b1i := real(gb1), imag(gb1)
-			out := dst[si*sz : (si+1)*sz]
-			for r := 0; r < q; r++ {
-				v0, v1 := row0[r], row1[r]
-				out[r*2*p+k] += complex(v0*a0r+v1*a1r, v0*a0i+v1*a1i)
-				out[r*2*p+p+k] += complex(v0*b0r+v1*b1r, v0*b0i+v1*b1i)
-			}
-		}
-	}
-}

@@ -134,75 +134,3 @@ func (m *Model) RResolventA2BPair(dst []float64, vt []float64, q int, tau float6
 	}
 	return nil
 }
-
-// RResolventA2BPairMulti computes the RResolventA2BPair panel for every
-// real shift in taus in one pass over the packed kernels: panel s lands in
-// dst[s·q·2p : (s+1)·q·2p]. Error semantics match CResolventBMulti, and
-// each panel is bit-identical to the corresponding single-shift call (same
-// expression sequence, same block accumulation order).
-func (m *Model) RResolventA2BPairMulti(dst []float64, vt []float64, q int, taus []float64, errs []error) {
-	pk := m.packKernels()
-	p := pk.p
-	sz := q * 2 * p
-	if len(dst) < len(taus)*sz || len(errs) != len(taus) {
-		panic("statespace: RResolventA2BPairMulti buffer sizes")
-	}
-	for i := range dst[:len(taus)*sz] {
-		dst[i] = 0
-	}
-	for i, off := range pk.off1 {
-		s := pk.sig1[i]
-		b1 := pk.b11[i]
-		k := int(pk.col1[i])
-		row := vt[int(off)*q : (int(off)+1)*q]
-		for si, tau := range taus {
-			if errs[si] != nil {
-				continue
-			}
-			d := s*s - tau
-			if d == 0 {
-				errs[si] = mat.ErrSingular
-				continue
-			}
-			gb := b1 / d
-			ga := s * gb
-			out := dst[si*sz : (si+1)*sz]
-			for r, vv := range row {
-				out[r*2*p+k] += vv * ga
-				out[r*2*p+p+k] += vv * gb
-			}
-		}
-	}
-	for i, off := range pk.off2 {
-		sg, w := pk.sig2[i], pk.om2[i]
-		w2 := 2 * sg * w
-		sp := sg*sg - w*w
-		b1, b2 := pk.b21[i], pk.b22[i]
-		ab1, ab2 := sg*b1+w*b2, -w*b1+sg*b2
-		k := int(pk.col2[i])
-		row0 := vt[int(off)*q : (int(off)+1)*q]
-		row1 := vt[(int(off)+1)*q : (int(off)+2)*q]
-		for si, tau := range taus {
-			if errs[si] != nil {
-				continue
-			}
-			d := sp - tau
-			det := d*d + w2*w2
-			if det == 0 {
-				errs[si] = mat.ErrSingular
-				continue
-			}
-			idet := 1 / det
-			ga0 := (ab1*d - w2*ab2) * idet
-			ga1 := (ab2*d + w2*ab1) * idet
-			gb0 := (b1*d - w2*b2) * idet
-			gb1 := (b2*d + w2*b1) * idet
-			out := dst[si*sz : (si+1)*sz]
-			for r := 0; r < q; r++ {
-				v0, v1 := row0[r], row1[r]
-				out[r*2*p+k] += v0*ga0 + v1*ga1
-				out[r*2*p+p+k] += v0*gb0 + v1*gb1
-			}
-		}
-	}
-}

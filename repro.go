@@ -165,22 +165,6 @@ const (
 	HalfForce = hamiltonian.HalfForce
 )
 
-// ShiftCache is an LRU of factored shift-invert state shared across
-// ShiftInvert calls (and, via the fleet engine, across jobs on the same
-// model). Results are bit-identical with or without one — the cache only
-// skips redundant SMW factorization work. Most callers never touch it
-// directly: SolverOptions.ShiftCacheSize and FleetOptions.ShiftCacheSize
-// manage attachment.
-type ShiftCache = hamiltonian.ShiftCache
-
-// CacheStats is a snapshot of shift-factorization cache traffic (see
-// Fleet.ShiftCacheStats and Hamiltonian.OpCacheStats).
-type CacheStats = hamiltonian.CacheStats
-
-// NewShiftCache builds a standalone factorization cache for manual wiring
-// via Hamiltonian.SetShiftCache (capacity minimum 1).
-func NewShiftCache(capacity int) *ShiftCache { return hamiltonian.NewShiftCache(capacity) }
-
 // ---- the parallel eigensolver (paper Secs. III–IV) ----
 
 // SolverOptions configures the multi-shift eigensolver (threads T, κ, α,
@@ -193,10 +177,6 @@ type SolverResult = core.Result
 
 // ArnoldiParams are the single-shift iteration parameters (n_ϑ, d, tol).
 type ArnoldiParams = arnoldi.SingleShiftParams
-
-// DefaultShiftCacheSize is the per-solve shift-factorization cache
-// capacity used when SolverOptions.ShiftCacheSize is left zero.
-const DefaultShiftCacheSize = core.DefaultShiftCacheSize
 
 // FindImagEigs runs the parallel multi-shift solver and returns all purely
 // imaginary Hamiltonian eigenvalues of the model (scattering test).
@@ -446,6 +426,10 @@ type Fleet = fleet.Engine
 // (MaxQueued bounds admitted-but-unfinished jobs; Submit blocks or, with
 // FailFast, returns ErrFleetQueueFull).
 type FleetOptions = fleet.EngineOptions
+
+// CacheStats is read by perfbench (closed.go:232, daemon.go:375,
+// layers.go:77); always zero; remove with the next benchmark PR.
+type CacheStats = fleet.CacheStats
 
 // FleetRequest describes one fleet job: a model plus either
 // characterization options or (when Enforce is non-nil) enforcement
