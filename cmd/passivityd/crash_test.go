@@ -189,11 +189,15 @@ func (c *child) getJob(id string) (*harnessJobDoc, error) {
 }
 
 // runCrashCase drives one job on one store through up to maxKills SIGKILLs
-// to completion, returning the terminal report and how many kills landed.
-// Every kill fires only while the job is not yet terminal (the poll loop
-// checks state right up to the kill instant), so each one interrupts live
-// solver work — a checkpoint-boundary resume, not a terminal replay.
-func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *rand.Rand, maxKills int) (*server.ReportDoc, int) {
+// to completion, returning the terminal report, how many kills landed and
+// how long the last generation ran from submission (or recovery) to done.
+// Each kill is armed at a seeded-random 5–50% of window, early enough to
+// land even when this run goes twice as fast as the one window was
+// measured on. Every kill fires
+// only while the job is not yet terminal (the poll loop checks state right
+// up to the kill instant), so each one interrupts live solver work — a
+// checkpoint-boundary resume, not a terminal replay.
+func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *rand.Rand, maxKills int, window time.Duration) (*server.ReportDoc, int, time.Duration) {
 	t.Helper()
 	kills := 0
 	const maxCycles = 12
@@ -215,9 +219,10 @@ func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *ran
 			t.Fatalf("cycle %d: recovered %d job(s), want 1", cycle, c.recovered)
 		}
 		var killAt time.Time
+		armed := time.Now()
 		if kills < maxKills {
-			delay := time.Duration(20+rng.Intn(130)) * time.Millisecond
-			killAt = time.Now().Add(delay)
+			delay := window/20 + time.Duration(rng.Int63n(int64(window*9/20)+1))
+			killAt = armed.Add(delay)
 			lg.printf("cycle %d: arming SIGKILL in %v", cycle, delay)
 		}
 		deadline := time.Now().Add(60 * time.Second)
@@ -235,7 +240,7 @@ func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *ran
 					lg.printf("cycle %d: job done (%d solver shifts this generation, %d crossings)",
 						cycle, doc.Report.Solver.ShiftsProcessed, len(doc.Report.Crossings))
 					c.kill()
-					return doc.Report, kills
+					return doc.Report, kills, time.Since(armed)
 				case "failed", "canceled":
 					c.kill()
 					t.Fatalf("cycle %d: job reached %q: %s", cycle, doc.State, doc.Error)
@@ -249,7 +254,7 @@ func runCrashCase(t *testing.T, lg *harnessLog, storePath, spec string, rng *ran
 		}
 	}
 	t.Fatalf("job did not finish within %d crash cycles", maxCycles)
-	return nil, 0
+	return nil, 0, 0
 }
 
 // gobSansSolver serializes a report with its schedule-dependent solver
@@ -268,9 +273,10 @@ func gobSansSolver(t *testing.T, doc *server.ReportDoc) []byte {
 // TestCrashResumeEquivalence is the headline durability guarantee on three
 // shrunk Table-I cases: a daemon SIGKILLed at randomized points mid-solve
 // and restarted on the same store must converge to a report gob-identical
-// to an uninterrupted run's. Order 125 puts a solve at roughly 150–300ms
-// on two workers — wide enough for 20–150ms kill delays to land inside
-// live Arnoldi sweeps rather than before or after them.
+// to an uninterrupted run's. Kill delays are drawn from 5–50% of the
+// uninterrupted run's measured solve time, so they land inside live
+// Arnoldi sweeps rather than before or after them whatever the speed of
+// the machine and of the solver (order 125 on two workers).
 func TestCrashResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child daemons")
@@ -283,8 +289,8 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			lg.printf("=== case %d (order %d) ===", id, order)
 
 			lg.printf("case %d: uninterrupted reference run", id)
-			ref, refKills := runCrashCase(t, lg, filepath.Join(t.TempDir(), "ref.jlog"), spec,
-				rand.New(rand.NewSource(int64(100+id))), 0)
+			ref, refKills, solve := runCrashCase(t, lg, filepath.Join(t.TempDir(), "ref.jlog"), spec,
+				rand.New(rand.NewSource(int64(100+id))), 0, 0)
 			if refKills != 0 {
 				t.Fatalf("reference run recorded %d kills", refKills)
 			}
@@ -295,9 +301,10 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(id)))
 			maxKills := 2 + rng.Intn(3)
 			lg.printf("case %d: crash run, up to %d kills", id, maxKills)
-			got, kills := runCrashCase(t, lg, filepath.Join(t.TempDir(), "crash.jlog"), spec, rng, maxKills)
+			lg.printf("case %d: uninterrupted solve took %v", id, solve)
+			got, kills, _ := runCrashCase(t, lg, filepath.Join(t.TempDir(), "crash.jlog"), spec, rng, maxKills, solve)
 			if kills < 1 {
-				t.Fatalf("no kill landed mid-run: solve finished before the first %v-range delay", 150*time.Millisecond)
+				t.Fatalf("no kill landed mid-run: solve finished before a delay drawn from 5–50%% of %v", solve)
 			}
 			if !bytes.Equal(gobSansSolver(t, ref), gobSansSolver(t, got)) {
 				t.Fatalf("resumed report diverges from uninterrupted run after %d kill(s):\nref: %+v\ngot: %+v",

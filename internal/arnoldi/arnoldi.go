@@ -191,33 +191,64 @@ func Run(op Operator, start []complex128, locked [][]complex128, cfg Config) (*F
 	return fac, nil
 }
 
-// RitzPairs extracts the Ritz pairs of the factorization: eigenpairs of the
-// projected H lifted back through the basis.
-func (f *Factorization) RitzPairs() ([]RitzPair, error) {
-	k := f.Steps
-	if k == 0 {
-		return nil, nil
-	}
-	vals, vecs, err := mat.CEig(f.H)
+// ritzSet is the Ritz extraction of one sweep, shared by Factorization and
+// RealFactorization. Arnoldi hands over H already upper Hessenberg, so its
+// Schur form comes straight from the QR iteration (mat.HessenbergSchur).
+// The values and residual estimates of all k pairs follow from T and the
+// last row of Z alone; a projected eigenvector y is formed, and lifted
+// through the basis, only for the pairs a caller asks for.
+type ritzSet struct {
+	values    []complex128
+	residuals []float64 // |h_{d+1,d}·y_d| for the unit eigenvector y of H
+	schur     *mat.SchurResult
+}
+
+// extractRitz computes the Ritz values and residual estimates of the
+// projected Hessenberg h; invariant zeroes every residual (lucky breakdown:
+// the Ritz values are exact for the deflated operator).
+func extractRitz(h *mat.CDense, hNext float64, invariant bool) (*ritzSet, error) {
+	s, err := mat.HessenbergSchur(h, mat.SchurFull)
 	if err != nil {
 		return nil, err
 	}
-	n := len(f.V[0])
-	out := make([]RitzPair, k)
-	for idx := 0; idx < k; idx++ {
-		y := make([]complex128, k)
-		for i := 0; i < k; i++ {
-			y[i] = vecs.At(i, idx)
+	res := s.LastComponents()
+	for i := range res {
+		if invariant {
+			res[i] = 0
+		} else {
+			res[i] *= hNext
 		}
-		res := f.HNext * cmplx.Abs(y[k-1])
-		if f.Invariant {
-			res = 0
-		}
-		x := make([]complex128, n)
-		for i := 0; i < k; i++ {
-			mat.CAxpy(y[i], f.V[i], x)
-		}
-		out[idx] = RitzPair{Value: vals[idx], Residual: res, Vector: x}
+	}
+	return &ritzSet{values: s.Values, residuals: res, schur: s}, nil
+}
+
+func (f *Factorization) ritz() (*ritzSet, error) {
+	return extractRitz(f.H, f.HNext, f.Invariant)
+}
+
+// lift forms Ritz vector i of r: x = Σ yⱼVⱼ.
+func (f *Factorization) lift(r *ritzSet, i int) []complex128 {
+	y := r.schur.Vector(i)
+	x := make([]complex128, len(f.V[0]))
+	for j := 0; j < f.Steps; j++ {
+		mat.CAxpy(y[j], f.V[j], x)
+	}
+	return x
+}
+
+// RitzPairs extracts the Ritz pairs of the factorization: eigenpairs of the
+// projected H lifted back through the basis.
+func (f *Factorization) RitzPairs() ([]RitzPair, error) {
+	if f.Steps == 0 {
+		return nil, nil
+	}
+	r, err := f.ritz()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]RitzPair, len(r.values))
+	for i, mu := range r.values {
+		out[i] = RitzPair{Value: mu, Residual: r.residuals[i], Vector: f.lift(r, i)}
 	}
 	return out, nil
 }
@@ -264,24 +295,25 @@ func LargestMagnitude(op Operator, cfg Config, restarts int, relTol float64) (co
 		if err != nil {
 			return 0, err
 		}
-		pairs, err := fac.RitzPairs()
+		ritz, err := fac.ritz()
 		if err != nil {
 			return 0, err
 		}
-		var top RitzPair
-		for _, p := range pairs {
-			if cmplx.Abs(p.Value) > cmplx.Abs(top.Value) {
-				top = p
+		top := -1
+		var topValue complex128
+		for i, mu := range ritz.values {
+			if cmplx.Abs(mu) > cmplx.Abs(topValue) {
+				top, topValue = i, mu
 			}
 		}
-		if top.Vector == nil {
+		if top < 0 {
 			return 0, errors.New("arnoldi: no Ritz pairs extracted")
 		}
-		if r > 0 && math.Abs(cmplx.Abs(top.Value)-cmplx.Abs(best)) <= relTol*cmplx.Abs(top.Value) {
-			return top.Value, nil
+		if r > 0 && math.Abs(cmplx.Abs(topValue)-cmplx.Abs(best)) <= relTol*cmplx.Abs(topValue) {
+			return topValue, nil
 		}
-		best = top.Value
-		start = top.Vector // restart in the dominant direction
+		best = topValue
+		start = fac.lift(ritz, top) // restart in the dominant direction
 		if fac.Invariant {
 			break
 		}

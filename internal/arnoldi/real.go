@@ -17,10 +17,14 @@ import (
 // projection and reorthogonalization compared to the complex path, which
 // on a real operator just carries a redundant second lane. Eigenvalues of
 // the projected (real) Hessenberg are still complex in general — they come
-// in conjugate pairs — so Ritz extraction promotes H to complex and reuses
-// mat.CEig, and deflation locks the real span {Re x, Im x} of each
-// converged complex Ritz vector, which removes both pair members from the
-// real iteration at once.
+// in conjugate pairs — so H is promoted to complex and goes through the
+// complex path's Ritz extraction: the Schur form of the Hessenberg H,
+// residual estimates for every pair from the last row of the Schur
+// vectors, and vectors lifted — as split real lanes Σ Re(yⱼ)Vⱼ and
+// Σ Im(yⱼ)Vⱼ — only for the pairs that are locked or warm-start the next
+// sweep. Deflation locks the real span {Re x, Im x} of each converged
+// complex Ritz vector, which removes both pair members from the real
+// iteration at once.
 //
 // The certification semantics of SingleShiftReal are those of SingleShift,
 // verbatim: same convergence test, disk-radius shrink/grow rules, ghost
@@ -50,8 +54,9 @@ type RealBaseOperator interface {
 
 // RealFactorization holds one real Arnoldi sweep: an orthonormal real
 // basis V, the projected Hessenberg H promoted to complex (so Ritz
-// extraction shares mat.CEig with the complex path), the next-vector
-// coupling hNext, and the invariant-subspace flag.
+// extraction is the complex path's, mat.HessenbergSchur with vectors lifted
+// on request), the next-vector coupling hNext, and the invariant-subspace
+// flag.
 type RealFactorization struct {
 	Steps     int
 	V         [][]float64
@@ -152,7 +157,7 @@ func RunReal(op RealOperator, start []float64, locked [][]float64, cfg Config) (
 }
 
 // promoteHessenberg copies the leading k×k block of a real Hessenberg into
-// a complex matrix for mat.CEig.
+// a complex matrix for mat.HessenbergSchur.
 func promoteHessenberg(h *mat.Dense, k int) *mat.CDense {
 	hk := mat.NewCDense(k, k)
 	for i := 0; i < k; i++ {
@@ -163,34 +168,44 @@ func promoteHessenberg(h *mat.Dense, k int) *mat.CDense {
 	return hk
 }
 
+func (f *RealFactorization) ritz() (*ritzSet, error) {
+	return extractRitz(f.H, f.HNext, f.Invariant)
+}
+
+// lift forms Ritz vector i of r as its split real lanes: xr = Σ Re(yⱼ)Vⱼ
+// and xi = Σ Im(yⱼ)Vⱼ, which is all that locking, the base residual and
+// the restart direction read.
+func (f *RealFactorization) lift(r *ritzSet, i int) (xr, xi []float64) {
+	y := r.schur.Vector(i)
+	n := len(f.V[0])
+	xr = make([]float64, n)
+	xi = make([]float64, n)
+	for j := 0; j < f.Steps; j++ {
+		mat.Axpy(real(y[j]), f.V[j], xr)
+		mat.Axpy(imag(y[j]), f.V[j], xi)
+	}
+	return xr, xi
+}
+
 // RitzPairs extracts the Ritz pairs of the real factorization: complex
 // eigenpairs of the promoted H lifted through the real basis. Conjugate
 // Ritz values carry conjugate vectors and identical residuals.
 func (f *RealFactorization) RitzPairs() ([]RitzPair, error) {
-	k := f.Steps
-	if k == 0 {
+	if f.Steps == 0 {
 		return nil, nil
 	}
-	vals, vecs, err := mat.CEig(f.H)
+	r, err := f.ritz()
 	if err != nil {
 		return nil, err
 	}
-	n := len(f.V[0])
-	out := make([]RitzPair, k)
-	for idx := 0; idx < k; idx++ {
-		res := f.HNext * cmplx.Abs(vecs.At(k-1, idx))
-		if f.Invariant {
-			res = 0
+	out := make([]RitzPair, len(r.values))
+	for i, mu := range r.values {
+		xr, xi := f.lift(r, i)
+		x := make([]complex128, len(xr))
+		for a := range x {
+			x[a] = complex(xr[a], xi[a])
 		}
-		x := make([]complex128, n)
-		for i := 0; i < k; i++ {
-			yr, yi := real(vecs.At(i, idx)), imag(vecs.At(i, idx))
-			vi := f.V[i]
-			for a, va := range vi {
-				x[a] = complex(real(x[a])+yr*va, imag(x[a])+yi*va)
-			}
-		}
-		out[idx] = RitzPair{Value: vals[idx], Residual: res, Vector: x}
+		out[i] = RitzPair{Value: mu, Residual: r.residuals[i], Vector: x}
 	}
 	return out, nil
 }
@@ -215,28 +230,20 @@ func RandomStartReal(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// lockRealSpan appends the orthonormalized real span {Re x, Im x} of a
-// complex Ritz vector to the locked set. For a conjugate Ritz pair both
+// lockRealSpan appends the orthonormalized real span {xr, xi} of a complex
+// Ritz vector xr + i·xi to the locked set. For a conjugate Ritz pair both
 // members share the same real span, so the second member's parts deflate
 // to (numerical) zero and are skipped — the pair costs two locked vectors
 // total, exactly the two complex vectors the full path would lock. Real
 // Ritz values (arbitrary complex phase) contribute one direction.
-func lockRealSpan(locked [][]float64, x []complex128) [][]float64 {
-	n := len(x)
-	for part := 0; part < 2; part++ {
-		v := make([]float64, n)
-		if part == 0 {
-			for i, z := range x {
-				v[i] = real(z)
-			}
-		} else {
-			for i, z := range x {
-				v[i] = imag(z)
-			}
-		}
+func lockRealSpan(locked [][]float64, xr, xi []float64) [][]float64 {
+	for _, part := range [2][]float64{xr, xi} {
+		v := make([]float64, len(part))
+		copy(v, part)
 		orthogonalizeReal(v, locked)
-		// x has unit norm, so a genuinely new direction keeps O(1) mass;
-		// 1e-6 absolute separates that from deflation residue.
+		// The Ritz vector has unit norm, so a genuinely new direction
+		// keeps O(1) mass; 1e-6 absolute separates that from deflation
+		// residue.
 		if nrm := mat.Norm2(v); nrm > 1e-6 {
 			mat.ScaleVec(1/nrm, v)
 			locked = append(locked, v)
@@ -245,21 +252,14 @@ func lockRealSpan(locked [][]float64, x []complex128) [][]float64 {
 	return locked
 }
 
-// realRestartDirection reduces a complex Ritz vector to a real restart
-// direction: whichever of its real or imaginary part carries more mass
+// realRestartDirection reduces a complex Ritz vector xr + i·xi to a real
+// restart direction: whichever of its lanes carries more mass
 // (deterministic, and nonzero whenever the vector is).
-func realRestartDirection(x []complex128) []float64 {
-	n := len(x)
-	vr := make([]float64, n)
-	vi := make([]float64, n)
-	for i, z := range x {
-		vr[i] = real(z)
-		vi[i] = imag(z)
+func realRestartDirection(xr, xi []float64) []float64 {
+	if mat.Norm2(xi) > mat.Norm2(xr) {
+		return xi
 	}
-	if mat.Norm2(vi) > mat.Norm2(vr) {
-		return vi
-	}
-	return vr
+	return xr
 }
 
 // SingleShiftReal runs the restarted, deflated shift-invert Arnoldi
@@ -314,44 +314,7 @@ func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftPara
 			convDists[i] = c.dist
 		}
 		cfg.CheckEvery = 10
-		cfg.StopEarly = func(h *mat.CDense, hNext float64, steps int) bool {
-			vals, vecs, err := mat.CEig(h)
-			if err != nil {
-				return false
-			}
-			minU := math.Inf(1)
-			var newConv []float64
-			for idx, mu := range vals {
-				if mu == 0 {
-					continue
-				}
-				dist := 1 / cmplx.Abs(mu)
-				resid := hNext * cmplx.Abs(vecs.At(steps-1, idx))
-				if resid <= params.Tol*cmplx.Abs(mu) {
-					newConv = append(newConv, dist)
-				} else if dist < minU {
-					minU = dist
-				}
-			}
-			certNow := 0.9 * minU
-			count := 0
-			for _, d := range convDists {
-				if d < certNow {
-					count++
-				}
-			}
-			for _, d := range newConv {
-				if d < certNow {
-					count++
-				}
-			}
-			if count >= params.NWanted {
-				return true
-			}
-			// Emptiness certification needs a richer subspace before the
-			// unconverged Ritz estimates can be trusted.
-			return steps >= 30 && certNow >= 1.05*rho0
-		}
+		cfg.StopEarly = earlyExit(params, convDists, rho0)
 		fac, err := RunReal(inv, start, locked, cfg)
 		if err == ErrBreakdownEmpty {
 			res.Exhausted = true
@@ -361,21 +324,24 @@ func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftPara
 			return nil, err
 		}
 		res.OpApplies += fac.OpApplies
-		pairs, err := fac.RitzPairs()
+		ritz, err := fac.ritz()
 		if err != nil {
 			return nil, err
 		}
 		minUnconv = math.Inf(1)
 		newConv := 0
 		ghosts := 0
-		warmStart = nil
-		for _, p := range pairs {
-			if p.Value == 0 {
+		// Only converged pairs (locked) and the nearest unconverged one
+		// (warm start) are lifted to full-length vectors.
+		warm := -1
+		for i, mu := range ritz.values {
+			if mu == 0 {
 				continue
 			}
-			lambda := theta + 1/p.Value
-			dist := 1 / cmplx.Abs(p.Value)
-			if p.Residual <= params.Tol*cmplx.Abs(p.Value) {
+			lambda := theta + 1/mu
+			dist := 1 / cmplx.Abs(mu)
+			if ritz.residuals[i] <= params.Tol*cmplx.Abs(mu) {
+				xr, xi := fac.lift(ritz, i)
 				dup := false
 				for _, c := range converged {
 					if cmplx.Abs(c.lambda-lambda) <= dedupTol {
@@ -387,12 +353,12 @@ func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftPara
 				// "ghost" of an already-locked direction (the locked Ritz
 				// vector is only tol-accurate); purging it keeps later
 				// sweeps exploring fresh directions.
-				locked = lockRealSpan(locked, p.Vector)
+				locked = lockRealSpan(locked, xr, xi)
 				if !dup {
 					converged = append(converged, conv{
 						lambda: lambda,
 						dist:   dist,
-						residM: baseResidualReal(inv, lambda, p.Vector),
+						residM: baseResidualReal(inv, lambda, xr, xi),
 					})
 					newConv++
 				} else {
@@ -402,8 +368,12 @@ func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftPara
 			}
 			if dist < minUnconv {
 				minUnconv = dist
-				warmStart = realRestartDirection(p.Vector)
+				warm = i
 			}
+		}
+		warmStart = nil
+		if warm >= 0 {
+			warmStart = realRestartDirection(fac.lift(ritz, warm))
 		}
 		if fac.Invariant && newConv == 0 {
 			res.Exhausted = true
@@ -486,20 +456,14 @@ func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftPara
 }
 
 // baseResidualReal computes ‖N·x − μ·x‖ for a complex Ritz pair of a real
-// operator via two real applies (N·Re x and N·Im x); x must have unit
-// norm. Returns 0 when the base operator is unavailable.
-func baseResidualReal(inv RealShiftInverter, mu complex128, x []complex128) float64 {
+// operator, x = xr + i·xi, via two real applies (N·xr and N·xi); x must
+// have unit norm. Returns 0 when the base operator is unavailable.
+func baseResidualReal(inv RealShiftInverter, mu complex128, xr, xi []float64) float64 {
 	bo, ok := inv.(RealBaseOperator)
 	if !ok {
 		return 0
 	}
-	n := len(x)
-	xr := make([]float64, n)
-	xi := make([]float64, n)
-	for i, z := range x {
-		xr[i] = real(z)
-		xi[i] = imag(z)
-	}
+	n := len(xr)
 	yr := make([]float64, n)
 	yi := make([]float64, n)
 	if err := bo.ApplyBase(yr, xr); err != nil {

@@ -163,44 +163,7 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 			convDists[i] = c.dist
 		}
 		cfg.CheckEvery = 10
-		cfg.StopEarly = func(h *mat.CDense, hNext float64, steps int) bool {
-			vals, vecs, err := mat.CEig(h)
-			if err != nil {
-				return false
-			}
-			minU := math.Inf(1)
-			var newConv []float64
-			for idx, mu := range vals {
-				if mu == 0 {
-					continue
-				}
-				dist := 1 / cmplx.Abs(mu)
-				resid := hNext * cmplx.Abs(vecs.At(steps-1, idx))
-				if resid <= params.Tol*cmplx.Abs(mu) {
-					newConv = append(newConv, dist)
-				} else if dist < minU {
-					minU = dist
-				}
-			}
-			certNow := 0.9 * minU
-			count := 0
-			for _, d := range convDists {
-				if d < certNow {
-					count++
-				}
-			}
-			for _, d := range newConv {
-				if d < certNow {
-					count++
-				}
-			}
-			if count >= params.NWanted {
-				return true
-			}
-			// Emptiness certification needs a richer subspace before the
-			// unconverged Ritz estimates can be trusted.
-			return steps >= 30 && certNow >= 1.05*rho0
-		}
+		cfg.StopEarly = earlyExit(params, convDists, rho0)
 		fac, err := Run(inv, start, locked, cfg)
 		if err == ErrBreakdownEmpty {
 			res.Exhausted = true
@@ -210,21 +173,24 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 			return nil, err
 		}
 		res.OpApplies += fac.OpApplies
-		pairs, err := fac.RitzPairs()
+		ritz, err := fac.ritz()
 		if err != nil {
 			return nil, err
 		}
 		minUnconv = math.Inf(1)
 		newConv := 0
 		ghosts := 0
-		warmStart = nil
-		for _, p := range pairs {
-			if p.Value == 0 {
+		// Only converged pairs (locked) and the nearest unconverged one
+		// (warm start) are lifted to full-length vectors.
+		warm := -1
+		for i, mu := range ritz.values {
+			if mu == 0 {
 				continue
 			}
-			lambda := theta + 1/p.Value
-			dist := 1 / cmplx.Abs(p.Value)
-			if p.Residual <= params.Tol*cmplx.Abs(p.Value) {
+			lambda := theta + 1/mu
+			dist := 1 / cmplx.Abs(mu)
+			if ritz.residuals[i] <= params.Tol*cmplx.Abs(mu) {
+				x := fac.lift(ritz, i)
 				dup := false
 				for _, c := range converged {
 					if cmplx.Abs(c.lambda-lambda) <= dedupTol {
@@ -236,12 +202,12 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 				// "ghost" of an already-locked direction (the locked Ritz
 				// vector is only tol-accurate); purging it keeps later
 				// sweeps exploring fresh directions.
-				locked = append(locked, normalized(p.Vector))
+				locked = append(locked, normalized(x))
 				if !dup {
 					converged = append(converged, conv{
 						lambda: lambda,
 						dist:   dist,
-						residM: baseResidual(inv, lambda, p.Vector),
+						residM: baseResidual(inv, lambda, x),
 					})
 					newConv++
 				} else {
@@ -251,8 +217,12 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 			}
 			if dist < minUnconv {
 				minUnconv = dist
-				warmStart = p.Vector
+				warm = i
 			}
+		}
+		warmStart = nil
+		if warm >= 0 {
+			warmStart = fac.lift(ritz, warm)
 		}
 		if fac.Invariant && newConv == 0 {
 			res.Exhausted = true
@@ -332,6 +302,55 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 	}
 	res.Radius = rho
 	return res, nil
+}
+
+// earlyExit builds the StopEarly check shared by SingleShift and
+// SingleShiftReal: stop once NWanted eigenvalues are certifiable — the
+// already converged convDists plus the projected problem's converged Ritz
+// values, closer than 0.9× its nearest unconverged one — or, in a
+// subspace of at least 30 steps, once that certifiable region covers
+// 1.05·rho0. Only the residual estimates are needed, so the check reads
+// the last row of the Schur vectors and forms no eigenvector.
+func earlyExit(params SingleShiftParams, convDists []float64, rho0 float64) func(h *mat.CDense, hNext float64, steps int) bool {
+	return func(h *mat.CDense, hNext float64, steps int) bool {
+		s, err := mat.HessenbergSchur(h, mat.SchurLastRow)
+		if err != nil {
+			return false
+		}
+		last := s.LastComponents()
+		minU := math.Inf(1)
+		var newConv []float64
+		for idx, mu := range s.Values {
+			if mu == 0 {
+				continue
+			}
+			dist := 1 / cmplx.Abs(mu)
+			resid := hNext * last[idx]
+			if resid <= params.Tol*cmplx.Abs(mu) {
+				newConv = append(newConv, dist)
+			} else if dist < minU {
+				minU = dist
+			}
+		}
+		certNow := 0.9 * minU
+		count := 0
+		for _, d := range convDists {
+			if d < certNow {
+				count++
+			}
+		}
+		for _, d := range newConv {
+			if d < certNow {
+				count++
+			}
+		}
+		if count >= params.NWanted {
+			return true
+		}
+		// Emptiness certification needs a richer subspace before the
+		// unconverged Ritz estimates can be trusted.
+		return steps >= 30 && certNow >= 1.05*rho0
+	}
 }
 
 // baseResidual computes ‖M·x − λ·x‖ when the inverter can apply M; x must

@@ -313,7 +313,9 @@ func collectStandalone(res *Result, op *hamiltonian.Op, axisTol float64, threads
 // it belongs to, and the resolved value is snapped to a fine sub-grid
 // (still far above cross-schedule scatter) for its canonical seed, so
 // distinct in-cell crossings keep distinct reported values while genuine
-// duplicates still merge.
+// duplicates still merge. A cell whose members all resolve to the same
+// fine seed is one crossing plus phantoms and takes the lone-member coarse
+// seed, so a phantom's presence cannot move the reported value.
 //
 // The polishes run as PhaseRefine batches under the job's client; each
 // task reads and writes only its own crossing slot, so scheduling cannot
@@ -365,6 +367,29 @@ func canonicalPolish(client *Client, crossings []float64, op *hamiltonian.Op, sc
 	//lint:ignore ctxflow canonical polish is part of the detached refinement tail: it must finish once collect has committed to reporting
 	if err := client.RunBatch(context.Background(), PhaseRefine, multiplicity); err != nil {
 		return err
+	}
+	// A cell whose members all resolve to one fine seed holds one crossing
+	// plus schedule-dependent phantoms of it. Seed it exactly as a lone
+	// member, or its reported value would depend on whether a phantom
+	// showed up: the coarse and the fine seed polish to values a few ulps
+	// apart.
+	shared := make(map[int64]float64)
+	for i, w := range crossings {
+		c := cellOf(w)
+		if members[c] == 1 {
+			continue
+		}
+		if s, seen := shared[c]; !seen {
+			shared[c] = seeds[i]
+		} else if s != seeds[i] {
+			shared[c] = math.NaN() // distinct eigenvalues, or a failed member
+		}
+	}
+	for i, w := range crossings {
+		if s, ok := shared[cellOf(w)]; ok && !math.IsNaN(s) {
+			seeds[i] = math.Round(w/quantum) * quantum
+			guards[i] = 2 * quantum
+		}
 	}
 	fns := make([]func(int) error, len(crossings))
 	for i := range crossings {

@@ -201,36 +201,6 @@ func TestSquaredKernelEquivalence(t *testing.T) {
 			if d := maxAbsDiff(y, want); d > tol*vecScale(want) {
 				t.Fatalf("CApplyABPair mismatch %g", d)
 			}
-
-			// Capacitance panel against dense V·(A²−τI)⁻¹·[A·B | B].
-			q := 2 * p
-			vt := make([]float64, n*q)
-			vD := mat.NewDense(q, n)
-			for r := 0; r < q; r++ {
-				for j := 0; j < n; j++ {
-					v := rng.NormFloat64()
-					vD.Set(r, j, v)
-					vt[j*q+r] = v
-				}
-			}
-			dst := make([]complex128, q*2*p)
-			if err := m.VResolventA2BPair(dst, vt, q, tau); err != nil {
-				t.Fatal(err)
-			}
-			vC := vD.ToComplex()
-			ga := vC.Mul(f.SolveMat(abD))
-			gb := vC.Mul(f.SolveMat(bD))
-			for r := 0; r < q; r++ {
-				for k := 0; k < p; k++ {
-					if d := cAbs(dst[r*2*p+k] - ga.At(r, k)); d > tol*vecScale(ga.Data) {
-						t.Fatalf("VResolventA2BPair A·B col mismatch %g", d)
-					}
-					if d := cAbs(dst[r*2*p+p+k] - gb.At(r, k)); d > tol*vecScale(gb.Data) {
-						t.Fatalf("VResolventA2BPair B col mismatch %g", d)
-					}
-				}
-			}
-
 		})
 	}
 }

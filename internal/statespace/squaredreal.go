@@ -81,9 +81,11 @@ func (m *Model) RApplyABPair(y []float64, s1, s2 []float64) {
 //
 //	X = [ V·(A² − τI)⁻¹·A·B | V·(A² − τI)⁻¹·B ]
 //
-// into dst (row-major, len q·2p) for a real shift τ, with V supplied
-// transposed as vt exactly as in VResolventA2BPair. Returns
-// mat.ErrSingular when τ hits a squared pole.
+// into dst (row-major, len q·2p) for a real shift τ and a real q×n matrix
+// V supplied TRANSPOSED as vt (n×q row-major, so each state reads one
+// contiguous q-row). The per-column resolvent solves are block-local, so
+// the panel costs O(n·q). Returns mat.ErrSingular when τ hits a squared
+// pole.
 func (m *Model) RResolventA2BPair(dst []float64, vt []float64, q int, tau float64) error {
 	pk := m.packKernels()
 	p := pk.p
