@@ -3,9 +3,7 @@ package arnoldi
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
-	"sort"
 
 	"repro/internal/mat"
 )
@@ -26,10 +24,12 @@ import (
 // complex Ritz vector, which removes both pair members from the real
 // iteration at once.
 //
-// The certification semantics of SingleShiftReal are those of SingleShift,
-// verbatim: same convergence test, disk-radius shrink/grow rules, ghost
-// purging, stagnation and exhaustion handling. Only the vector arithmetic
-// is real.
+// SingleShiftReal and SingleShift share their certification by
+// construction: both run the one S(ϑ, ρ₀) iteration, singleShift, which
+// owns the convergence test, disk-radius shrink/grow rules, ghost
+// purging, stagnation and exhaustion handling. Only the lane — start
+// vectors, sweeps, locking, base residuals and the warm start — is real
+// here.
 
 // RealOperator is a linear operator on R^dim. Apply computes y = Op·x; x
 // and y are distinct slices of length Dim().
@@ -267,192 +267,57 @@ func realRestartDirection(xr, xi []float64) []float64 {
 // certification rules and result semantics. inv.Theta() must be real
 // (imaginary part zero); the returned Ritz values are complex as usual.
 func SingleShiftReal(inv RealShiftInverter, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	params.setDefaults()
-	theta := inv.Theta()
-	res := &SingleShiftResult{Theta: theta, Radius: rho0}
-	cfg := Config{MaxDim: params.MaxDim, Tol: params.Tol, Rng: newRng(params.Seed)}
+	return singleShift(&realLane{inv: inv}, inv.Theta(), rho0, params)
+}
 
-	type conv struct {
-		lambda complex128
-		dist   float64
-		residM float64
-	}
-	var converged []conv
-	var locked [][]float64
-	// dedupTol is relative to the local frequency scale.
-	scale := cmplx.Abs(theta) + rho0
-	if scale == 0 {
-		scale = 1
-	}
-	dedupTol := 1e-7 * scale
+// realLane is SingleShiftReal's lane: real Krylov vectors, locked as the
+// real span of each converged complex Ritz vector.
+type realLane struct {
+	inv       RealShiftInverter
+	locked    [][]float64
+	warmStart []float64
+	fac       *RealFactorization
+	ritz      *ritzSet
+}
 
-	minUnconv := math.Inf(1)
-	stagnant := 0
-	var warmStart []float64
-	for restart := 0; restart < params.MaxRestarts; restart++ {
-		if params.Yield != nil && restart > 0 {
-			params.Yield()
-		}
-		res.Restarts++
-		start := RandomStartReal(cfg.Rng, inv.Dim())
-		if warmStart != nil {
-			// Explicit restart toward the closest unconverged Ritz vector,
-			// with a small random component to escape invariant traps.
-			for i := range start {
-				start[i] = warmStart[i] + 0.02*start[i]
-			}
-		}
-		// Early within-sweep exit: most of the sweep cost is basis
-		// orthogonalization, so stop as soon as the projected problem
-		// certifies NWanted eigenvalues (or certifies the initial disk
-		// empty once the subspace is rich enough).
-		convDists := make([]float64, len(converged))
-		for i, c := range converged {
-			convDists[i] = c.dist
-		}
-		cfg.CheckEvery = 10
-		cfg.StopEarly = earlyExit(params, convDists, rho0)
-		fac, err := RunReal(inv, start, locked, cfg)
-		if err == ErrBreakdownEmpty {
-			res.Exhausted = true
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.OpApplies += fac.OpApplies
-		ritz, err := fac.ritz()
-		if err != nil {
-			return nil, err
-		}
-		minUnconv = math.Inf(1)
-		newConv := 0
-		ghosts := 0
-		// Only converged pairs (locked) and the nearest unconverged one
-		// (warm start) are lifted to full-length vectors.
-		warm := -1
-		for i, mu := range ritz.values {
-			if mu == 0 {
-				continue
-			}
-			lambda := theta + 1/mu
-			dist := 1 / cmplx.Abs(mu)
-			if ritz.residuals[i] <= params.Tol*cmplx.Abs(mu) {
-				xr, xi := fac.lift(ritz, i)
-				dup := false
-				for _, c := range converged {
-					if cmplx.Abs(c.lambda-lambda) <= dedupTol {
-						dup = true
-						break
-					}
-				}
-				// Lock the span either way: a duplicate is a numerical
-				// "ghost" of an already-locked direction (the locked Ritz
-				// vector is only tol-accurate); purging it keeps later
-				// sweeps exploring fresh directions.
-				locked = lockRealSpan(locked, xr, xi)
-				if !dup {
-					converged = append(converged, conv{
-						lambda: lambda,
-						dist:   dist,
-						residM: baseResidualReal(inv, lambda, xr, xi),
-					})
-					newConv++
-				} else {
-					ghosts++
-				}
-				continue
-			}
-			if dist < minUnconv {
-				minUnconv = dist
-				warm = i
-			}
-		}
-		warmStart = nil
-		if warm >= 0 {
-			warmStart = realRestartDirection(fac.lift(ritz, warm))
-		}
-		if fac.Invariant && newConv == 0 {
-			res.Exhausted = true
-			break
-		}
-		if newConv == 0 && ghosts == 0 {
-			stagnant++
-			if stagnant >= 3 {
-				break
-			}
-		} else {
-			stagnant = 0
-		}
-		// Early exit uses the same certification rule as the final radius:
-		// only eigenvalues closer than 0.9× the nearest unconverged Ritz
-		// estimate are certifiable. Stop when NWanted of them are, or when
-		// the certifiable region already covers the whole initial disk.
-		certNow := 0.9 * minUnconv
-		certCount := 0
-		for _, c := range converged {
-			if c.dist < certNow {
-				certCount++
-			}
-		}
-		if certCount >= params.NWanted {
-			break
-		}
-		if restart >= 1 && certNow >= rho0 {
-			break
+func (l *realLane) sweep(cfg Config) (*ritzSet, int, bool, error) {
+	start := RandomStartReal(cfg.Rng, l.inv.Dim())
+	if l.warmStart != nil {
+		// Explicit restart toward the closest unconverged Ritz vector,
+		// with a small random component to escape invariant traps.
+		for i := range start {
+			start[i] = l.warmStart[i] + 0.02*start[i]
 		}
 	}
+	// Drop the last sweep before running the next one, so that only one
+	// basis is live at a time.
+	l.fac, l.ritz, l.warmStart = nil, nil, nil
+	fac, err := RunReal(l.inv, start, l.locked, cfg)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	r, err := fac.ritz()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	l.fac, l.ritz = fac, r
+	return r, fac.OpApplies, fac.Invariant, nil
+}
 
-	sort.Slice(converged, func(i, j int) bool { return converged[i].dist < converged[j].dist })
+func (l *realLane) lock(i int, lambda complex128, wantResid bool) float64 {
+	xr, xi := l.fac.lift(l.ritz, i)
+	l.locked = lockRealSpan(l.locked, xr, xi)
+	if !wantResid {
+		return 0
+	}
+	return baseResidualReal(l.inv, lambda, xr, xi)
+}
 
-	// Certified radius: nothing unconverged may hide inside the disk.
-	certified := math.Inf(1)
-	if !math.IsInf(minUnconv, 1) {
-		certified = 0.9 * minUnconv
+func (l *realLane) warm(i int) {
+	l.warmStart = nil
+	if i >= 0 {
+		l.warmStart = realRestartDirection(l.fac.lift(l.ritz, i))
 	}
-	if res.Exhausted && math.IsInf(certified, 1) {
-		// Entire reachable spectrum resolved: certify everything seen.
-		certified = math.Inf(1)
-	}
-
-	rho := rho0
-	nw := params.NWanted
-	if len(converged) > nw {
-		// Shrink: enclose exactly NWanted, midway to the next one out.
-		rho = 0.5 * (converged[nw-1].dist + converged[nw].dist)
-	} else if len(converged) > 0 {
-		// Grow to the farthest converged eigenvalue (paper rule), bounded
-		// by certification.
-		far := converged[len(converged)-1].dist
-		if far > rho {
-			rho = far * (1 + 1e-9)
-		}
-	}
-	if rho > certified {
-		rho = certified
-	}
-	if math.IsInf(rho, 1) {
-		// Fully resolved spectrum: choose a radius covering all converged.
-		if len(converged) > 0 {
-			rho = converged[len(converged)-1].dist * (1 + 1e-9)
-			if rho < rho0 {
-				rho = rho0
-			}
-		} else {
-			rho = rho0
-		}
-	}
-	for _, c := range converged {
-		if c.dist <= rho {
-			res.Eigenvalues = append(res.Eigenvalues, c.lambda)
-			res.ResidualsM = append(res.ResidualsM, c.residM)
-		}
-	}
-	res.Radius = rho
-	return res, nil
 }
 
 // baseResidualReal computes ‖N·x − μ·x‖ for a complex Ritz pair of a real

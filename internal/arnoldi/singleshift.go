@@ -116,13 +116,37 @@ type BaseOperator interface {
 //     to the nearest unconverged Ritz estimate, so that the returned set is
 //     complete within C_{ϑ,ρ}.
 func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
+	return singleShift(&complexLane{inv: inv}, inv.Theta(), rho0, params)
+}
+
+// lane is one arithmetic's side of the S(ϑ, ρ₀) iteration: it owns the
+// Krylov vectors — the locked set, the last sweep and the warm start —
+// while singleShift owns every certification decision. complexLane serves
+// SingleShift, realLane serves SingleShiftReal.
+type lane interface {
+	// sweep draws a start vector from cfg.Rng, mixes in the pending warm
+	// start, runs one Arnoldi sweep deflated against the locked set and
+	// extracts its Ritz values and residual estimates.
+	sweep(cfg Config) (r *ritzSet, applies int, invariant bool, err error)
+	// lock deflates Ritz pair i of the last sweep. With wantResid it also
+	// returns the pair's residual in the base operator for eigenvalue
+	// lambda (0 when the base operator is unavailable).
+	lock(i int, lambda complex128, wantResid bool) float64
+	// warm sets the next sweep's warm start from Ritz pair i of the last
+	// sweep, or clears it when i < 0.
+	warm(i int)
+}
+
+// singleShift is the S(ϑ, ρ₀) iteration of SingleShift and SingleShiftReal:
+// restarts, locking with ghost purging, stagnation and exhaustion exits,
+// and the certified radius. The lane supplies the arithmetic.
+func singleShift(ln lane, theta complex128, rho0 float64, params SingleShiftParams) (*SingleShiftResult, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	params.setDefaults()
-	theta := inv.Theta()
 	res := &SingleShiftResult{Theta: theta, Radius: rho0}
-	cfg := Config{MaxDim: params.MaxDim, Tol: params.Tol, Rng: newRng(params.Seed)}
+	cfg := Config{MaxDim: params.MaxDim, Tol: params.Tol, Rng: newRng(params.Seed), CheckEvery: 10}
 
 	type conv struct {
 		lambda complex128
@@ -130,7 +154,6 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 		residM float64
 	}
 	var converged []conv
-	var locked [][]complex128
 	// dedupTol is relative to the local frequency scale.
 	scale := cmplx.Abs(theta) + rho0
 	if scale == 0 {
@@ -140,20 +163,11 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 
 	minUnconv := math.Inf(1)
 	stagnant := 0
-	var warmStart []complex128
 	for restart := 0; restart < params.MaxRestarts; restart++ {
 		if params.Yield != nil && restart > 0 {
 			params.Yield()
 		}
 		res.Restarts++
-		start := RandomStart(cfg.Rng, inv.Dim())
-		if warmStart != nil {
-			// Explicit restart toward the closest unconverged Ritz vector,
-			// with a small random component to escape invariant traps.
-			for i := range start {
-				start[i] = warmStart[i] + 0.02*start[i]
-			}
-		}
 		// Early within-sweep exit: most of the sweep cost is basis
 		// orthogonalization, so stop as soon as the projected problem
 		// certifies NWanted eigenvalues (or certifies the initial disk
@@ -162,9 +176,8 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 		for i, c := range converged {
 			convDists[i] = c.dist
 		}
-		cfg.CheckEvery = 10
 		cfg.StopEarly = earlyExit(params, convDists, rho0)
-		fac, err := Run(inv, start, locked, cfg)
+		ritz, applies, invariant, err := ln.sweep(cfg)
 		if err == ErrBreakdownEmpty {
 			res.Exhausted = true
 			break
@@ -172,11 +185,7 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 		if err != nil {
 			return nil, err
 		}
-		res.OpApplies += fac.OpApplies
-		ritz, err := fac.ritz()
-		if err != nil {
-			return nil, err
-		}
+		res.OpApplies += applies
 		minUnconv = math.Inf(1)
 		newConv := 0
 		ghosts := 0
@@ -190,7 +199,6 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 			lambda := theta + 1/mu
 			dist := 1 / cmplx.Abs(mu)
 			if ritz.residuals[i] <= params.Tol*cmplx.Abs(mu) {
-				x := fac.lift(ritz, i)
 				dup := false
 				for _, c := range converged {
 					if cmplx.Abs(c.lambda-lambda) <= dedupTol {
@@ -198,17 +206,13 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 						break
 					}
 				}
-				// Lock the vector either way: a duplicate is a numerical
+				// Lock the pair either way: a duplicate is a numerical
 				// "ghost" of an already-locked direction (the locked Ritz
 				// vector is only tol-accurate); purging it keeps later
 				// sweeps exploring fresh directions.
-				locked = append(locked, normalized(x))
+				residM := ln.lock(i, lambda, !dup)
 				if !dup {
-					converged = append(converged, conv{
-						lambda: lambda,
-						dist:   dist,
-						residM: baseResidual(inv, lambda, x),
-					})
+					converged = append(converged, conv{lambda: lambda, dist: dist, residM: residM})
 					newConv++
 				} else {
 					ghosts++
@@ -220,11 +224,8 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 				warm = i
 			}
 		}
-		warmStart = nil
-		if warm >= 0 {
-			warmStart = fac.lift(ritz, warm)
-		}
-		if fac.Invariant && newConv == 0 {
+		ln.warm(warm)
+		if invariant && newConv == 0 {
 			res.Exhausted = true
 			break
 		}
@@ -304,12 +305,61 @@ func SingleShift(inv ShiftInverter, rho0 float64, params SingleShiftParams) (*Si
 	return res, nil
 }
 
-// earlyExit builds the StopEarly check shared by SingleShift and
-// SingleShiftReal: stop once NWanted eigenvalues are certifiable — the
-// already converged convDists plus the projected problem's converged Ritz
-// values, closer than 0.9× its nearest unconverged one — or, in a
-// subspace of at least 30 steps, once that certifiable region covers
-// 1.05·rho0. Only the residual estimates are needed, so the check reads
+// complexLane is SingleShift's lane: complex Krylov vectors of length
+// inv.Dim(), locked as normalized Ritz vectors.
+type complexLane struct {
+	inv       ShiftInverter
+	locked    [][]complex128
+	warmStart []complex128
+	fac       *Factorization
+	ritz      *ritzSet
+}
+
+func (l *complexLane) sweep(cfg Config) (*ritzSet, int, bool, error) {
+	start := RandomStart(cfg.Rng, l.inv.Dim())
+	if l.warmStart != nil {
+		// Explicit restart toward the closest unconverged Ritz vector,
+		// with a small random component to escape invariant traps.
+		for i := range start {
+			start[i] = l.warmStart[i] + 0.02*start[i]
+		}
+	}
+	// Drop the last sweep before running the next one, so that only one
+	// basis is live at a time.
+	l.fac, l.ritz, l.warmStart = nil, nil, nil
+	fac, err := Run(l.inv, start, l.locked, cfg)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	r, err := fac.ritz()
+	if err != nil {
+		return nil, 0, false, err
+	}
+	l.fac, l.ritz = fac, r
+	return r, fac.OpApplies, fac.Invariant, nil
+}
+
+func (l *complexLane) lock(i int, lambda complex128, wantResid bool) float64 {
+	x := l.fac.lift(l.ritz, i)
+	l.locked = append(l.locked, normalized(x))
+	if !wantResid {
+		return 0
+	}
+	return baseResidual(l.inv, lambda, x)
+}
+
+func (l *complexLane) warm(i int) {
+	l.warmStart = nil
+	if i >= 0 {
+		l.warmStart = l.fac.lift(l.ritz, i)
+	}
+}
+
+// earlyExit builds the StopEarly check of every singleShift sweep: stop
+// once NWanted eigenvalues are certifiable — the already converged
+// convDists plus the projected problem's converged Ritz values, closer
+// than 0.9× its nearest unconverged one — or, in a subspace of at least
+// 30 steps, once that certifiable region covers 1.05·rho0. Only the residual estimates are needed, so the check reads
 // the last row of the Schur vectors and forms no eigenvector.
 func earlyExit(params SingleShiftParams, convDists []float64, rho0 float64) func(h *mat.CDense, hNext float64, steps int) bool {
 	return func(h *mat.CDense, hNext float64, steps int) bool {

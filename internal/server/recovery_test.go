@@ -4,21 +4,25 @@
 // daemon up over it. Recovered terminal jobs must serve their persisted
 // documents verbatim; recovered incomplete jobs must resume from their
 // last checkpoint and finish with a report bit-identical to the
-// uninterrupted run's, doing strictly less eigensolver work than a cold
-// start.
+// uninterrupted run's, never re-running a shift the crash image committed.
 package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -35,16 +39,30 @@ const (
 
 // storedDaemon is one daemon generation over a durable store.
 type storedDaemon struct {
-	srv *server.Server
-	ts  *httptest.Server
-	eng *repro.Fleet
-	st  *store.Store
+	t    *testing.T
+	srv  *server.Server
+	ts   *httptest.Server
+	eng  *repro.Fleet
+	st   *store.Store
+	once sync.Once
 }
 
+// close drains the daemon and shuts it down; it is idempotent. A job
+// reads "done" before its watcher appends the terminal record, and
+// checkpoint callbacks can trail both, so the log is complete only once
+// every job has drained and the pool's workers have exited.
 func (d *storedDaemon) close() {
-	d.ts.Close()
-	d.eng.Close()
-	d.st.Close()
+	d.once.Do(func() {
+		d.srv.BeginDrain()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		if err := d.srv.DrainJobs(ctx); err != nil {
+			d.t.Errorf("drain: %v", err)
+		}
+		d.ts.Close()
+		d.eng.Close()
+		d.st.Close()
+	})
 }
 
 // newStoredDaemon stands a daemon generation up over the log at path.
@@ -56,7 +74,7 @@ func newStoredDaemon(t *testing.T, path string, workers int) *storedDaemon {
 	}
 	eng := repro.NewFleetEngine(repro.FleetOptions{Workers: workers})
 	srv := server.New(server.Config{Engine: eng, Store: st})
-	return &storedDaemon{srv: srv, ts: httptest.NewServer(srv), eng: eng, st: st}
+	return &storedDaemon{t: t, srv: srv, ts: httptest.NewServer(srv), eng: eng, st: st}
 }
 
 // logFrame is one parsed frame of the store log.
@@ -86,24 +104,44 @@ func parseLog(t *testing.T, data []byte) []logFrame {
 	return frames
 }
 
-// countTag counts frames with the given tag, optionally only past the
-// last resume marker (the current generation's records).
-func countTag(frames []logFrame, tag byte, afterLastMarker bool) int {
-	start := 0
-	if afterLastMarker {
-		for i, fr := range frames {
-			if fr.tag == tagResumeMarker {
-				start = i + 1
-			}
-		}
-	}
+// countTag counts frames with the given tag.
+func countTag(frames []logFrame, tag byte) int {
 	n := 0
-	for _, fr := range frames[start:] {
+	for _, fr := range frames {
 		if fr.tag == tag {
 			n++
 		}
 	}
 	return n
+}
+
+// committedShifts folds the core checkpoints of the log image data the
+// way recovery does and returns the shifts they commit, in sequence order.
+// Terminal records are dropped first, so checkpoints appended after the
+// terminal record — stragglers that replay skips — are folded too.
+func committedShifts(t *testing.T, dir, name string, data []byte) []core.ShiftCheckpoint {
+	t.Helper()
+	img := append([]byte(nil), data[:8]...)
+	start := 8
+	for _, fr := range parseLog(t, data) {
+		if fr.tag != tagTerminal {
+			img = append(img, data[start:fr.end]...)
+		}
+		start = fr.end
+	}
+	st, err := store.Open(writePrefix(t, dir, name, img, len(img)))
+	if err != nil {
+		t.Fatalf("open %s: %v", name, err)
+	}
+	defer st.Close()
+	jobs := st.Recovered()
+	if len(jobs) != 1 {
+		t.Fatalf("%s holds %d jobs, want 1", name, len(jobs))
+	}
+	if jobs[0].Core == nil {
+		return nil
+	}
+	return jobs[0].Core.Outs
 }
 
 // writePrefix writes the crash image data[:end] to a fresh log path.
@@ -120,7 +158,8 @@ func writePrefix(t *testing.T, dir, name string, data []byte, end int) string {
 // uninterrupted run produces the reference report and the full log; three
 // crash images cut from it — right after admission, mid-solve after the
 // second checkpoint, and just before the terminal record — each recover
-// on a fresh daemon to a report gob-identical to the reference.
+// on a fresh daemon to a report gob-identical to the reference, without
+// committing again any shift the crash image committed.
 func TestRecoveryFromCrashImages(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.log")
@@ -160,7 +199,7 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 	if terminalIdx < 1 {
 		t.Fatal("uninterrupted log has no terminal record")
 	}
-	totalCks := countTag(frames, tagCoreCheckpoint, false)
+	totalCks := countTag(frames, tagCoreCheckpoint)
 	if totalCks < 4 {
 		t.Fatalf("reference run committed only %d checkpoints; need a longer solve", totalCks)
 	}
@@ -184,16 +223,13 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 	scenarios := []struct {
 		name string
 		cut  int
-		// maxNewCks bounds the resumed generation's checkpoint count
-		// (-1 = no bound).
-		maxNewCks int
 		// wantMarker: the recovery re-submitted the job (vs serving it
 		// terminal straight from the log).
 		wantMarker bool
 	}{
-		{name: "scratch", cut: admission, maxNewCks: -1, wantMarker: true},
-		{name: "mid-solve", cut: midSolve, maxNewCks: totalCks - 1, wantMarker: true},
-		{name: "pre-terminal", cut: preTerminal, maxNewCks: -1, wantMarker: false},
+		{name: "scratch", cut: admission, wantMarker: true},
+		{name: "mid-solve", cut: midSolve, wantMarker: true},
+		{name: "pre-terminal", cut: preTerminal, wantMarker: false},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -210,13 +246,15 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 			if !bytes.Equal(gobBytes(t, sansSolver(*got.Report)), gobBytes(t, sansSolver(*ref.Report))) {
 				t.Fatal("recovered report not bit-identical to the uninterrupted run")
 			}
-			final := parseLog(t, mustRead(t, path))
+			b.close()
+			healed := mustRead(t, path)
+			final := parseLog(t, healed)
 			// Straggler checkpoints can trail the terminal append here too,
 			// so assert presence, not position.
-			if countTag(final, tagTerminal, false) == 0 {
+			if countTag(final, tagTerminal) == 0 {
 				t.Fatal("recovered generation did not write a terminal record")
 			}
-			markers := countTag(final, tagResumeMarker, false)
+			markers := countTag(final, tagResumeMarker)
 			if sc.wantMarker && markers == 0 {
 				t.Fatal("resumed generation wrote no resume marker")
 			}
@@ -232,10 +270,26 @@ func TestRecoveryFromCrashImages(t *testing.T) {
 						len(final)-len(prefixFrames), len(prefixFrames))
 				}
 			}
-			newCks := countTag(final, tagCoreCheckpoint, true)
-			if sc.maxNewCks >= 0 && newCks > sc.maxNewCks {
-				t.Fatalf("resumed generation committed %d checkpoints, want ≤ %d (strictly less work than the %d-checkpoint cold run)",
-					newCks, sc.maxNewCks, totalCks)
+			// Resume redoes no committed work: no shift the crash image
+			// committed is committed again after the resume marker. A shift
+			// location identifies the shift, since each later interval is
+			// carved out of the band the earlier disks left uncovered. (How
+			// many shifts the rest of the band takes depends on the two
+			// workers' completion order, so the cold run's count is no
+			// bound.)
+			prefix := committedShifts(t, dir, sc.name+"-prefix.log", data[:sc.cut])
+			all := committedShifts(t, dir, sc.name+"-healed.log", healed)
+			if len(all) < len(prefix) {
+				t.Fatalf("healed log commits %d shifts, fewer than the crash image's %d", len(all), len(prefix))
+			}
+			committed := make(map[uint64]bool, len(prefix))
+			for _, o := range prefix {
+				committed[math.Float64bits(o.Omega)] = true
+			}
+			for _, o := range all[len(prefix):] {
+				if committed[math.Float64bits(o.Omega)] {
+					t.Fatalf("resumed generation re-committed the shift at ω=%g of the crash image", o.Omega)
+				}
 			}
 
 			// The healed log must itself recover cleanly: a third

@@ -143,9 +143,9 @@ func TestBackendDispatch(t *testing.T) {
 }
 
 // TestSquaredKernelEquivalence validates the half-size path's block-local
-// kernels against dense references: A² applies/solves, the [A·B | B] pair
-// apply, and the V·(A² − τI)⁻¹·[A·B | B] capacitance panels (single and
-// multi-shift, with the multi panels bit-identical to single calls).
+// real kernels against dense references at a real shift τ: A² applies and
+// solves, the [A·B | B] pair apply, and the capacitance panel
+// V·(A² − τI)⁻¹·[A·B | B] for a random q×n V.
 func TestSquaredKernelEquivalence(t *testing.T) {
 	const tol = 1e-12
 	rng := rand.New(rand.NewSource(23))
@@ -153,56 +153,86 @@ func TestSquaredKernelEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			m := randModel(rng, p)
 			n := m.Order()
-			a := m.DenseA().ToComplex()
+			a := m.DenseA()
 			a2 := a.Mul(a)
-			bD := m.DenseB().ToComplex()
+			bD := m.DenseB()
 			abD := a.Mul(bD)
 
-			x := make([]complex128, n)
+			x := make([]float64, n)
 			for i := range x {
-				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				x[i] = rng.NormFloat64()
 			}
-			y := make([]complex128, n)
-			m.CApplyA2(y, x)
+			y := make([]float64, n)
+			m.RApplyA2(y, x)
 			want := a2.MulVec(x)
-			if d := maxAbsDiff(y, want); d > tol*vecScale(want) {
-				t.Fatalf("CApplyA2 mismatch %g", d)
+			if d := maxAbsDiff(complexify(y), complexify(want)); d > tol*vecScale(complexify(want)) {
+				t.Fatalf("RApplyA2 mismatch %g", d)
 			}
 
-			tau := complex(-1-rng.Float64(), 0.3*rng.NormFloat64())
+			tau := -1 - rng.Float64()
 			shifted := a2.Clone()
 			for i := 0; i < n; i++ {
 				shifted.Set(i, i, shifted.At(i, i)-tau)
 			}
-			f, err := mat.CLUFactor(shifted)
+			f, err := mat.LUFactor(shifted)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.CSolveShiftedA2(y, x, tau); err != nil {
+			if err := m.RSolveShiftedA2(y, x, tau); err != nil {
 				t.Fatal(err)
 			}
 			want = f.Solve(x)
-			if d := maxAbsDiff(y, want); d > tol*vecScale(want) {
-				t.Fatalf("CSolveShiftedA2 mismatch %g", d)
+			if d := maxAbsDiff(complexify(y), complexify(want)); d > tol*vecScale(complexify(want)) {
+				t.Fatalf("RSolveShiftedA2 mismatch %g", d)
 			}
 
-			s1 := make([]complex128, p)
-			s2 := make([]complex128, p)
+			s1 := make([]float64, p)
+			s2 := make([]float64, p)
 			for i := 0; i < p; i++ {
-				s1[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				s2[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				s1[i] = rng.NormFloat64()
+				s2[i] = rng.NormFloat64()
 			}
-			m.CApplyABPair(y, s1, s2)
+			m.RApplyABPair(y, s1, s2)
 			want = abD.MulVec(s1)
 			wb := bD.MulVec(s2)
 			for i := range want {
 				want[i] += wb[i]
 			}
-			if d := maxAbsDiff(y, want); d > tol*vecScale(want) {
-				t.Fatalf("CApplyABPair mismatch %g", d)
+			if d := maxAbsDiff(complexify(y), complexify(want)); d > tol*vecScale(complexify(want)) {
+				t.Fatalf("RApplyABPair mismatch %g", d)
+			}
+
+			q := 2*p + 1
+			v := mat.NewDense(q, n)
+			for i := range v.Data {
+				v.Data[i] = rng.NormFloat64()
+			}
+			u := mat.NewDense(n, 2*p)
+			for i := 0; i < n; i++ {
+				for k := 0; k < p; k++ {
+					u.Set(i, k, abD.At(i, k))
+					u.Set(i, p+k, bD.At(i, k))
+				}
+			}
+			panel := v.Mul(f.SolveMat(u))
+			got := make([]float64, q*2*p)
+			if err := m.RResolventA2BPair(got, v.T().Data, q, tau); err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(complexify(got), complexify(panel.Data)); d > tol*vecScale(complexify(panel.Data)) {
+				t.Fatalf("RResolventA2BPair mismatch %g", d)
 			}
 		})
 	}
+}
+
+// complexify widens a real vector for the complex comparison helpers.
+func complexify(v []float64) []complex128 {
+	out := make([]complex128, len(v))
+	for i, x := range v {
+		out[i] = complex(x, 0)
+	}
+	return out
 }
 
 func cAbs(z complex128) float64 { return cmplx.Abs(z) }

@@ -2,15 +2,24 @@ package statespace
 
 import "repro/internal/mat"
 
-// Real-arithmetic variants of the squared-operator kernels in squared.go.
-// Every sweep shift on the half-size path is τ = −ω² — real — and the
-// squared operator N = A² + U·V is itself real, so the entire shift-invert
-// Arnoldi iteration can run on real state vectors: half the memory traffic
-// and half the flops of the complex kernels at identical block structure.
-// Expression ordering matches the complex kernels so the real path is
-// deterministic for a fixed model/shift, and (A²−τI) block determinants are
-// the same quantities, so singularity detection agrees with the complex
-// route bit-for-bit.
+// Squared-operator kernels for the half-size Hamiltonian path. For a
+// reciprocal model the 2n×2n Hamiltonian M is similar to [0, P̃; Q̃, 0]
+// with P̃ = A + B·Wp·C and Q̃ = A + B·Wq·C, so spec(M)² = spec(N) with
+//
+//	N = Q̃·P̃ = A² + U·V,  U = [A·B | B] (n×2p),
+//	V = [Wp·C ; Wq·(C·A + (C·B)·Wp·C)] (2p×n, real).
+//
+// A² inherits A's block-diagonal form — each 2×2 rotation block squares to
+// another rotation block with σ' = σ² − ω², ω' = 2σω — so (N − τI)⁻¹ is
+// again a block-diagonal solve plus a rank-2p SMW correction, mirroring
+// the full-size shift-invert setup at half the state dimension. V is
+// precomputed by the hamiltonian package (it owns Wp/Wq); the kernels here
+// provide the block-local pieces: A² applies and solves, the U-pair apply
+// and the V·(A² − τI)⁻¹·U capacitance panel.
+//
+// Every sweep shift on the half-size path is τ = −ω² — real — and N is
+// itself real, so the entire shift-invert Arnoldi iteration runs on real
+// state vectors and every kernel here is real.
 
 // RApplyA2 computes y = A²·x blockwise on a real state vector.
 func (m *Model) RApplyA2(y, x []float64) {
