@@ -3,8 +3,9 @@
 // provides fast structured operators on it:
 //
 //   - Apply:       y = M·x           in O(n·p)
-//   - ShiftInvert: y = (M − ϑI)⁻¹·x  in O(n·p) per apply after an
-//     O(n·p²) per-shift setup (Sherman–Morrison–Woodbury, paper Eq. 6)
+//   - ShiftInvert: y = (M − ϑI)⁻¹·x  in O(n·p + p²) per apply after an
+//     O(n·p + p³) per-shift setup (Sherman–Morrison–Woodbury, paper Eq. 6,
+//     reduced to a p×p Popov-matrix factorization)
 //
 // The purely imaginary eigenvalues of M are the frequencies where singular
 // values of H(jω) cross the unit threshold (scattering) or where the
@@ -66,9 +67,11 @@ var ErrNotAsymptoticallyPassive = errors.New("hamiltonian: D violates strict asy
 type Op struct {
 	Model *statespace.Model
 	Rep   Representation
-	N     int        // dynamic order n (M is 2n×2n)
-	P     int        // ports
-	w     *mat.Dense // 2p×2p coupling
+	N     int // dynamic order n (M is 2n×2n)
+	P     int // ports
+	// w is the 2p×2p coupling, used by Apply and Dense only: ShiftInvert
+	// works on the p×p Popov matrix instead.
+	w *mat.Dense
 
 	// half, when non-nil, is the half-size reciprocal sweep operator
 	// (spec(M)² on n states instead of spec(M) on 2n). Built by NewWith
@@ -80,17 +83,13 @@ type Op struct {
 	// steady-state Apply calls are allocation-free; ω_max estimation and
 	// per-eigenvalue residual checks call Apply thousands of times.
 	applyPool sync.Pool
-	// panelPool recycles the p×p SMW setup panels of ShiftInvert.
-	panelPool sync.Pool
-	// shiftPool recycles ShiftOp shells (apply scratch only; each shift
-	// factors its own capacitance), so a new shift reuses the last one's
-	// scratch.
+	// shiftPool recycles ShiftOp shells (panels, Popov-matrix storage and
+	// apply scratch; each shift computes and factors its own), so a new
+	// shift reuses the last one's storage.
 	shiftPool sync.Pool
 }
 
 type applyScratch struct{ t, wt, u []complex128 }
-
-type smwPanels struct{ x1, x2 []complex128 }
 
 func (op *Op) getApplyScratch() *applyScratch {
 	if ws, ok := op.applyPool.Get().(*applyScratch); ok {
@@ -102,14 +101,6 @@ func (op *Op) getApplyScratch() *applyScratch {
 		wt: make([]complex128, p2),
 		u:  make([]complex128, n2),
 	}
-}
-
-func (op *Op) getPanels() *smwPanels {
-	if ps, ok := op.panelPool.Get().(*smwPanels); ok {
-		return ps
-	}
-	pp := op.P * op.P
-	return &smwPanels{x1: make([]complex128, pp), x2: make([]complex128, pp)}
 }
 
 // New builds the Hamiltonian operator for the model. The operator works on
@@ -303,49 +294,56 @@ func (op *Op) Apply(y, x []complex128) {
 }
 
 // ShiftOp is a shift-invert operator (M − ϑI)⁻¹ for one shift ϑ: the
-// LU-factored 2p×2p SMW capacitance plus private apply scratch. Each apply
-// costs O(n·p). Not safe for concurrent use (scratch buffers); create one
-// per goroutine. Call Release when done: it recycles the scratch. Using a
-// ShiftOp after Release is a bug.
+// p×p panels H(ϑ) and Hᵀ(−ϑ), the LU-factored p×p Popov matrix Φ(ϑ) and
+// private apply scratch. Each apply costs O(n·p) + O(p²). Not safe for
+// concurrent use (scratch buffers); create one per goroutine. Call Release
+// when done: it recycles the panels and scratch. Using a ShiftOp after
+// Release is a bug.
 type ShiftOp struct {
 	op    *Op
 	theta complex128
-	cap   *mat.CLU // factored (I + W·V·G·U), 2p×2p
+	phi   *mat.CLU // factored Φ(ϑ), p×p; its LU overwrites phim's storage
+	phim  mat.CDense
+	// h = H(ϑ), ht = Hᵀ(−ϑ), both p×p row-major (scattering Apply reads
+	// them; immittance needs them only during setup).
+	h, ht []complex128
 	// scratch
 	g, gu   []complex128 // 2n
-	t, s    []complex128 // 2p
-	permBuf []complex128 // 2p, CLU permutation gather
+	z, s    []complex128 // 2p
+	permBuf []complex128 // p, CLU permutation gather
 }
 
-// newShiftOp wraps a factored capacitance in a (pooled) ShiftOp shell.
-func (op *Op) newShiftOp(theta complex128, capLU *mat.CLU) *ShiftOp {
+// getShiftOp returns a (pooled) ShiftOp shell for the shift theta. All
+// persistent storage — panels, Φ and apply scratch — is one allocation,
+// reused across shifts.
+func (op *Op) getShiftOp(theta complex128) *ShiftOp {
 	if so, ok := op.shiftPool.Get().(*ShiftOp); ok {
-		so.theta, so.cap = theta, capLU
+		so.theta = theta
 		return so
 	}
-	n, p2 := op.N, 2*op.P
-	// All persistent ShiftOp scratch in one allocation.
-	buf := make([]complex128, 4*n+3*p2)
-	return &ShiftOp{
-		op:      op,
-		theta:   theta,
-		cap:     capLU,
-		g:       buf[:2*n],
-		gu:      buf[2*n : 4*n],
-		t:       buf[4*n : 4*n+p2],
-		s:       buf[4*n+p2 : 4*n+2*p2],
-		permBuf: buf[4*n+2*p2:],
-	}
+	n, p := op.N, op.P
+	pp := p * p
+	buf := make([]complex128, 3*pp+4*n+5*p)
+	so := &ShiftOp{op: op, theta: theta}
+	so.h, buf = buf[:pp], buf[pp:]
+	so.ht, buf = buf[:pp], buf[pp:]
+	so.phim = mat.CDense{Rows: p, Cols: p, Data: buf[:pp]}
+	buf = buf[pp:]
+	so.g, buf = buf[:2*n], buf[2*n:]
+	so.gu, buf = buf[:2*n], buf[2*n:]
+	so.z, buf = buf[:2*p], buf[2*p:]
+	so.s, so.permBuf = buf[:2*p], buf[2*p:]
+	return so
 }
 
-// Release returns the operator's scratch to the pool. Safe on nil.
-// Idempotent within one ownership cycle only — after Release the ShiftOp
-// may be handed to another goroutine by the pool.
+// Release returns the operator's panels and scratch to the pool. Safe on
+// nil. Idempotent within one ownership cycle only — after Release the
+// ShiftOp may be handed to another goroutine by the pool.
 func (so *ShiftOp) Release() {
 	if so == nil {
 		return
 	}
-	so.cap = nil
+	so.phi = nil
 	so.op.shiftPool.Put(so)
 }
 
@@ -356,61 +354,73 @@ func (so *ShiftOp) Release() {
 //
 // which is algebraically equivalent to paper Eq. 6 but does not require W
 // to be invertible. Because G is block diagonal and U, V interleave B, C
-// block-wise, the inner matrix is itself block diagonal,
+// block-wise, V·G·U = blkdiag(X₁, −X₂) with the panels
 //
-//	V·G·U = blkdiag( C·(A−ϑI)⁻¹·B,  −Bᵀ·(Aᵀ+ϑI)⁻¹·Cᵀ ),
+//	X₁ = C·(A−ϑI)⁻¹·B,  X₂ = Bᵀ·(Aᵀ+ϑI)⁻¹·Cᵀ,
 //
-// and each p×p panel follows the block-sparsity of B, so the whole setup is
-// O(n·p) + O(p³) for the capacitance assembly/factorization — not the 2p
-// independent O(n·p) column passes of the naive route. Fails with
-// ErrSingular when ϑ coincides with an eigenvalue of A/−Aᵀ or of M itself.
-// Callers must Release the returned ShiftOp.
+// each O(n·p) along the block sparsity of B. They give the transfer
+// function at ±ϑ: H(ϑ) = D − X₁ and Hᵀ(−ϑ) = Dᵀ − X₂. The 2p×2p
+// capacitance solve then reduces to one p×p system in the Popov matrix
+//
+//	scattering: Φ(ϑ) = I − H(ϑ)·Hᵀ(−ϑ)
+//	immittance: Φ(ϑ) = H(ϑ) + Hᵀ(−ϑ)
+//
+// (DESIGN.md "The p×p Popov reduction"), so the per-shift setup is O(n·p)
+// for the panels plus O(p³) to form and factor Φ. Φ is singular exactly
+// when ϑ is an eigenvalue of M; ShiftInvert then fails with ErrSingular,
+// as it does when ϑ coincides with an eigenvalue of A/−Aᵀ. Callers must
+// Release the returned ShiftOp.
 func (op *Op) ShiftInvert(theta complex128) (*ShiftOp, error) {
-	// Panels: x1 = C·(A−ϑI)⁻¹·B, x2 = Bᵀ·(Aᵀ−(−ϑ)I)⁻¹·Cᵀ (negated during
-	// assembly).
-	ps := op.getPanels()
-	defer op.panelPool.Put(ps)
-	x1, x2 := ps.x1, ps.x2
-	if err := op.Model.CResolventB(x1, theta); err != nil {
+	so := op.getShiftOp(theta)
+	h, ht := so.h, so.ht
+	if err := op.Model.CResolventB(h, theta); err != nil {
+		so.Release()
 		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
 	}
-	if err := op.Model.BTResolventCT(x2, -theta); err != nil {
+	if err := op.Model.BTResolventCT(ht, -theta); err != nil {
+		so.Release()
 		return nil, fmt.Errorf("hamiltonian: shift %v hits a pole: %w", theta, err)
 	}
 	p := op.P
-	p2 := 2 * p
-	for i := range x2 {
-		x2[i] = -x2[i]
-	}
-	// cap = I + W·blkdiag(x1, x2), accumulated row-wise with real×complex
-	// products (W is real) against the contiguous panel rows.
-	capm := mat.NewCDense(p2, p2)
-	for i := 0; i < p2; i++ {
-		wrow := op.w.Row(i)
-		dst := capm.Row(i)
-		for k := 0; k < p; k++ {
-			if wik := wrow[k]; wik != 0 {
-				x1row := x1[k*p : (k+1)*p]
-				out := dst[:p]
-				for j, v := range x1row {
-					out[j] += complex(wik*real(v), wik*imag(v))
-				}
-			}
-			if wik := wrow[p+k]; wik != 0 {
-				x2row := x2[k*p : (k+1)*p]
-				out := dst[p:]
-				for j, v := range x2row {
-					out[j] += complex(wik*real(v), wik*imag(v))
-				}
-			}
+	d := op.Model.D
+	for i := 0; i < p; i++ {
+		drow := d.Row(i)
+		hrow := h[i*p : (i+1)*p]
+		htrow := ht[i*p : (i+1)*p]
+		for j := 0; j < p; j++ {
+			hrow[j] = complex(drow[j], 0) - hrow[j]
+			htrow[j] = complex(d.At(j, i), 0) - htrow[j]
 		}
-		dst[i]++
 	}
-	f, err := mat.CLUFactorInPlace(capm)
+	phi := so.phim.Data
+	switch op.Rep {
+	case Scattering:
+		// Φ = I − H·Hᵀ(−ϑ), accumulated row-wise against contiguous Hᵀ rows.
+		for i := range phi {
+			phi[i] = 0
+		}
+		for i := 0; i < p; i++ {
+			out := phi[i*p : (i+1)*p]
+			for k, hik := range h[i*p : (i+1)*p] {
+				for j, v := range ht[k*p : (k+1)*p] {
+					out[j] -= hik * v
+				}
+			}
+			out[i]++
+		}
+	case Immittance:
+		// Φ = H + Hᵀ(−ϑ).
+		for i := range phi {
+			phi[i] = h[i] + ht[i]
+		}
+	}
+	f, err := mat.CLUFactorInPlace(&so.phim)
 	if err != nil {
+		so.Release()
 		return nil, fmt.Errorf("hamiltonian: shift %v is (numerically) an eigenvalue: %w", theta, err)
 	}
-	return op.newShiftOp(theta, f), nil
+	so.phi = f
+	return so, nil
 }
 
 // applyG computes y = G·x = [(A−ϑI)⁻¹x₁; (−Aᵀ−ϑI)⁻¹x₂] in O(n).
@@ -445,19 +455,46 @@ func (so *ShiftOp) ApplyBase(y, x []complex128) error {
 }
 
 // Apply computes y = (M − ϑI)⁻¹·x. x and y have length 2n and may alias.
+//
+// With g = G·x and z = V·g, the capacitance solve s = (I + W·V·G·U)⁻¹·W·z
+// runs through Φ (see ShiftInvert):
+//
+//	scattering: Φ·s₂ = −z₁ − H(ϑ)·z₂,  s₁ = z₂ − Hᵀ(−ϑ)·s₂
+//	immittance: Φ·σ = z₁ + z₂,          s = [−σ; σ]
+//
+// and y = g − G·U·s.
 func (so *ShiftOp) Apply(y, x []complex128) error {
 	op := so.op
-	n := op.N
+	n, p := op.N, op.P
 	if len(x) != 2*n || len(y) != 2*n {
 		panic(fmt.Sprintf("hamiltonian: ShiftOp.Apply expects vectors of length %d", 2*n))
 	}
 	if err := so.applyG(so.g, x); err != nil {
 		return err
 	}
-	op.applyV(so.t, so.g)
-	op.applyW(so.s, so.t)
-	so.cap.SolveIntoScratch(so.s, so.s, so.permBuf)
-	op.applyU(so.gu, so.s)
+	z, s := so.z, so.s
+	op.applyV(z, so.g)
+	z1, z2 := z[:p], z[p:]
+	s1, s2 := s[:p], s[p:]
+	switch op.Rep {
+	case Scattering:
+		for i := range s2 {
+			s2[i] = -z1[i] - cdotu(so.h[i*p:(i+1)*p], z2)
+		}
+		so.phi.SolveIntoScratch(s2, s2, so.permBuf)
+		for i := range s1 {
+			s1[i] = z2[i] - cdotu(so.ht[i*p:(i+1)*p], s2)
+		}
+	case Immittance:
+		for i := range s2 {
+			s2[i] = z1[i] + z2[i]
+		}
+		so.phi.SolveIntoScratch(s2, s2, so.permBuf)
+		for i, v := range s2 {
+			s1[i] = -v
+		}
+	}
+	op.applyU(so.gu, s)
 	if err := so.applyG(so.gu, so.gu); err != nil {
 		return err
 	}
@@ -465,4 +502,13 @@ func (so *ShiftOp) Apply(y, x []complex128) error {
 		y[i] = so.g[i] - so.gu[i]
 	}
 	return nil
+}
+
+// cdotu returns the unconjugated dot product Σ a[i]·b[i].
+func cdotu(a, b []complex128) complex128 {
+	var s complex128
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
 }

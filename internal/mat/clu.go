@@ -21,7 +21,7 @@ func CLUFactor(a *CDense) (*CLU, error) {
 
 // CLUFactorInPlace is CLUFactor without the defensive copy: the input is
 // overwritten with the factors and owned by the returned CLU. Use it when a
-// is a freshly built scratch matrix (e.g. the per-shift SMW capacitance).
+// is a freshly built scratch matrix (e.g. the per-shift Popov matrix).
 func CLUFactorInPlace(a *CDense) (*CLU, error) {
 	return cluFactor(a)
 }

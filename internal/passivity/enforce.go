@@ -348,7 +348,7 @@ func EnforceContext(ctx context.Context, m *statespace.Model, opts EnforceOption
 // NWanted, because every certified disk is shrunk to enclose exactly
 // NWanted eigenvalues — so shift placement alone cannot reduce it. Since
 // iteration k already mapped the spectrum and each shift carries a fixed
-// O(n·p²) SMW factorization cost, the re-characterization certifies more
+// O(n·p + p³) SMW factorization cost, the re-characterization certifies more
 // eigenvalues per factorization instead: NWanted grows 1.5× while MaxDim
 // stays put (the default d = 60 basis already has room for 8 wanted
 // eigenvalues; growing d would inflate the O(d²n) orthogonalization cost
